@@ -1,36 +1,9 @@
-//! Shared plumbing for the baseline systems: raw execution-consistency voting
-//! (without PURPLE's adaption fixers) and fixed demonstration sets.
+//! Shared plumbing for the baseline systems: fixed demonstration sets. Their
+//! raw execution-consistency vote (without PURPLE's adaption fixers) is
+//! [`purple::raw_vote`].
 
-use engine::{Database, SessionDb};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-
-/// Majority vote over raw samples by execution result; unexecutable samples get no
-/// vote. Returns the first sample agreeing with the consensus, else the first
-/// sample. This is the plain execution-consistency of C3 / DAIL-SQL / SQL-PaLM,
-/// *without* the repair loop PURPLE adds. When a registry is given, the vote is
-/// spanned under [`obs::Stage::ConsistencyVote`] with per-sample counts; when a
-/// recorder is given, a structured `voted` event is emitted.
-pub fn raw_vote(
-    samples: &[String],
-    db: &Database,
-    metrics: Option<&obs::MetricsRegistry>,
-    events: Option<&obs::EventRecorder>,
-) -> String {
-    purple::adaption::raw_vote(samples, db, metrics, events)
-}
-
-/// [`raw_vote`] through a bound execution session: duplicate samples and
-/// repeated votes on the same database are served from the session's caches.
-/// Same result as [`raw_vote`] for the same inputs.
-pub fn raw_vote_with(
-    samples: &[String],
-    sdb: &SessionDb<'_, '_>,
-    metrics: Option<&obs::MetricsRegistry>,
-    events: Option<&obs::EventRecorder>,
-) -> String {
-    purple::adaption::raw_vote_with(samples, sdb, metrics, events)
-}
 
 /// Pick a fixed demonstration index set from a pool (the few-shot / DIN-SQL
 /// hand-curated prompt), deterministic for a seed.
@@ -45,7 +18,9 @@ pub fn fixed_demo_indices(pool_size: usize, k: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::Value;
+    use engine::{Database, Value};
+    use obs::Probe;
+    use purple::raw_vote;
     use sqlkit::{Column, ColumnType, Schema, Table};
 
     fn db() -> Database {
@@ -70,16 +45,16 @@ mod tests {
             "SELECT id FROM t WHERE id = 2".to_string(),
             "SELECT id FROM t WHERE id = 1".to_string(),
         ];
-        assert_eq!(raw_vote(&samples, &d, None, None), "SELECT id FROM t WHERE id = 1");
+        assert_eq!(raw_vote(&samples, &d, &Probe::detached()), "SELECT id FROM t WHERE id = 1");
     }
 
     #[test]
     fn raw_vote_ignores_broken_samples_and_falls_back() {
         let d = db();
         let samples = vec!["garbage".to_string(), "SELECT id FROM t".to_string()];
-        assert_eq!(raw_vote(&samples, &d, None, None), "SELECT id FROM t");
-        assert_eq!(raw_vote(&["x".to_string()], &d, None, None), "x");
-        assert_eq!(raw_vote(&[], &d, None, None), "");
+        assert_eq!(raw_vote(&samples, &d, &Probe::detached()), "SELECT id FROM t");
+        assert_eq!(raw_vote(&["x".to_string()], &d, &Probe::detached()), "x");
+        assert_eq!(raw_vote(&[], &d, &Probe::detached()), "");
     }
 
     #[test]

@@ -12,6 +12,6 @@ pub mod common;
 pub mod llm_baselines;
 pub mod plm;
 
-pub use common::{fixed_demo_indices, raw_vote, raw_vote_with};
+pub use common::fixed_demo_indices;
 pub use llm_baselines::{LlmBaseline, SharedModels, Strategy};
 pub use plm::{PlmConfig, PlmTranslator, ALL_PLM, GRAPHIX, PICARD, RASAT, RESDSQL};

@@ -2,12 +2,12 @@
 //! DIN-SQL and DAIL-SQL, each wired through the same simulated LLM service so
 //! the comparison isolates *strategy*, exactly as in the paper's §V-A3.
 
-use crate::common::{fixed_demo_indices, raw_vote_with};
+use crate::common::fixed_demo_indices;
 use engine::Database;
 use eval::{Job, RunEnv, RunOutcome, Translation, Translator};
 use llm::{Demonstration, GenerationRequest, LlmProfile, LlmService, Prompt, CONTEXT_LIMIT};
 use nlmodel::{SchemaClassifier, SkeletonPredictor};
-use obs::{Clock, Counter, EventValue, Fixer, Gauge, MetricsRegistry, Stage};
+use obs::{Clock, EventValue, Gauge, Stage};
 use purple::{PruneConfig, PrunedSchema, SchemaPruner};
 use spidergen::types::Example;
 use sqlkit::Level;
@@ -159,15 +159,13 @@ impl Translator for LlmBaseline {
     fn run(&self, job: Job<'_>) -> RunOutcome {
         let (ex, db) = (job.example, job.db);
         let seed = job.seed(self.seed);
-        let reg = MetricsRegistry::new(self.clock);
-        let events = job.events.or(self.env.events.as_deref());
-        let rec = events.map(|sink| sink.recorder(job.idx));
+        let probe = self.env.probe(&job, self.clock);
 
         // Per-strategy prompt composition. DAIL-SQL's retrieval runs the
         // skeleton predictor internally, so the whole composition step counts
         // as demonstration selection.
-        let span = reg.span(Stage::DemoSelection);
-        reg.set_gauge(Gauge::PoolSize, self.models.pool.len() as u64);
+        let stage = probe.stage(Stage::DemoSelection);
+        probe.metrics().set_gauge(Gauge::PoolSize, self.models.pool.len() as u64);
         let (instruction, demos, instruction_quality, cot, n, extra_out, pruned) =
             match self.strategy {
                 Strategy::ChatGptSql => (
@@ -232,19 +230,16 @@ impl Translator for LlmBaseline {
                     ("Answer like the examples.".to_string(), demos, 0.2, false, 8, 0, true)
                 }
             };
-        span.finish(demos.len() as u64);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::DemoSelection.name(),
-                "selected",
-                &[
-                    ("selected", EventValue::U64(demos.len() as u64)),
-                    ("pool", EventValue::U64(self.models.pool.len() as u64)),
-                ],
-            );
-        }
+        stage.finish_with(
+            demos.len() as u64,
+            "selected",
+            &[
+                ("selected", EventValue::U64(demos.len() as u64)),
+                ("pool", EventValue::U64(self.models.pool.len() as u64)),
+            ],
+        );
 
-        let span = reg.span(Stage::SchemaPruning);
+        let stage = probe.stage(Stage::SchemaPruning);
         let (schema_text, prune_quality) = if pruned {
             let pruner = SchemaPruner::new(&self.models.classifier, PruneConfig::default());
             let p = pruner.prune(&ex.nl, db);
@@ -253,20 +248,17 @@ impl Translator for LlmBaseline {
             (PrunedSchema::full(&db.schema).to_text(&db.schema), 0.0)
         };
         let schema_cols: usize = db.schema.tables.iter().map(|t| t.columns.len()).sum();
-        span.finish(schema_cols as u64);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::SchemaPruning.name(),
-                "pruned",
-                &[
-                    ("cols", EventValue::U64(schema_cols as u64)),
-                    ("quality", EventValue::F64(prune_quality)),
-                    ("pruned", EventValue::Bool(pruned)),
-                ],
-            );
-        }
+        stage.finish_with(
+            schema_cols as u64,
+            "pruned",
+            &[
+                ("cols", EventValue::U64(schema_cols as u64)),
+                ("quality", EventValue::F64(prune_quality)),
+                ("pruned", EventValue::Bool(pruned)),
+            ],
+        );
 
-        let span = reg.span(Stage::PromptAssembly);
+        let stage = probe.stage(Stage::PromptAssembly);
         let mut prompt =
             Prompt { instruction, demonstrations: demos, schema_text, nl: ex.nl.clone() };
         // Baselines fit to the raw context limit; DAIL-SQL controls to ~3k.
@@ -275,70 +267,47 @@ impl Translator for LlmBaseline {
             _ => CONTEXT_LIMIT,
         };
         let prompt_tokens = prompt.fit_to_budget(budget).tokens;
-        reg.set_gauge(Gauge::DemosInPrompt, prompt.demonstrations.len() as u64);
-        span.finish(prompt_tokens);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::PromptAssembly.name(),
-                "assembled",
-                &[
-                    ("demos_in_prompt", EventValue::U64(prompt.demonstrations.len() as u64)),
-                    ("prompt_tokens", EventValue::U64(prompt_tokens)),
-                ],
-            );
-        }
+        probe.metrics().set_gauge(Gauge::DemosInPrompt, prompt.demonstrations.len() as u64);
+        stage.finish_with(
+            prompt_tokens,
+            "assembled",
+            &[
+                ("demos_in_prompt", EventValue::U64(prompt.demonstrations.len() as u64)),
+                ("prompt_tokens", EventValue::U64(prompt_tokens)),
+            ],
+        );
 
-        let mut request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
+        let request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
             .linking_noise(ex.linking_noise)
             .prune_quality(prune_quality)
             .instruction_quality(instruction_quality)
             .cot(cot)
             .n(n)
             .seed(seed)
-            .extra_output_tokens(extra_out)
-            .metrics(&reg);
-        if let Some(rec) = &rec {
-            request = request.events(rec);
-        }
-        let response = self.service.complete(&request);
+            .extra_output_tokens(extra_out);
+        let response = self.service.complete(&request, &probe);
 
         // DIN-SQL self-corrects (its final module); C3/DAIL vote; the rest emit raw.
         let session = self.env.session_or_disabled();
+        let sdb = session.bind(db).with_tracer(probe.tracer());
         let sql = match self.strategy {
             Strategy::DinSql => {
-                let span = reg.span(Stage::Adaption);
+                let stage = probe.stage(Stage::Adaption);
                 let mut rng = rand::SeedableRng::seed_from_u64(seed ^ 0xd1);
-                let fixed =
-                    purple::adapt_sql_with(&session.bind(db), &response.samples[0], &mut rng);
-                reg.count(Counter::Samples, 1);
-                if !fixed.fixes.is_empty() {
-                    let bucket = if fixed.executable {
-                        Counter::RepairedSamples
-                    } else {
-                        Counter::UnrepairedSamples
-                    };
-                    reg.count(bucket, 1);
-                }
-                for fix in &fixed.fixes {
-                    if let Some(fixer) = Fixer::from_category(fix) {
-                        reg.record_fix(fixer, fixed.executable);
-                    }
-                }
-                span.finish(1);
-                if let Some(rec) = &rec {
-                    rec.emit(
-                        Stage::Adaption.name(),
-                        "repair",
-                        &[
-                            ("fixes", EventValue::U64(fixed.fixes.len() as u64)),
-                            ("executable", EventValue::Bool(fixed.executable)),
-                        ],
-                    );
-                }
+                let fixed = purple::adapt_sql_with(&sdb, &response.samples[0], &mut rng);
+                purple::record_adaption(probe.metrics(), &fixed);
+                stage.finish_with(
+                    1,
+                    "repair",
+                    &[
+                        ("fixes", EventValue::U64(fixed.fixes.len() as u64)),
+                        ("executable", EventValue::Bool(fixed.executable)),
+                    ],
+                );
                 fixed.sql
             }
             Strategy::C3 | Strategy::DailSql => {
-                raw_vote_with(&response.samples, &session.bind(db), Some(&reg), rec.as_ref())
+                purple::raw_vote_with(&response.samples, &sdb, &probe)
             }
             _ => response.samples[0].clone(),
         };
@@ -347,14 +316,7 @@ impl Translator for LlmBaseline {
             prompt_tokens: response.prompt_tokens,
             output_tokens: response.output_tokens,
         };
-        let metrics = reg.snapshot();
-        if let Some(shared) = &self.env.metrics {
-            shared.absorb(&metrics);
-        }
-        if let (Some(sink), Some(rec)) = (events, rec) {
-            sink.publish(rec);
-        }
-        RunOutcome { translation, metrics }
+        RunOutcome { translation, metrics: self.env.publish(probe) }
     }
 }
 
@@ -413,6 +375,51 @@ mod tests {
         let r = evaluate(&c3, &suite.dev, None);
         assert!(r.avg_output_tokens > 5000.0, "C3 output {:.0}", r.avg_output_tokens);
         assert!(r.avg_prompt_tokens < 2000.0, "C3 prunes its input: {:.0}", r.avg_prompt_tokens);
+    }
+
+    #[test]
+    fn each_system_emits_its_stage_sequence() {
+        // Every LLM strategy composes its prompt in three stages and makes one
+        // LLM call, then votes (C3, DAIL-SQL), repairs (DIN-SQL) or stops;
+        // the PLMs only decode a skeleton.
+        let (suite, models) = setup();
+        let ex = &suite.dev.examples[0];
+        let db = suite.dev.db_of(ex);
+        let events = |t: &dyn Translator| {
+            let sink = obs::EventSink::default();
+            t.run(Job::new(0, ex, db).with_events(Some(&sink)));
+            sink.drain().events.iter().map(|e| (e.stage, e.kind)).collect::<Vec<_>>()
+        };
+        let head = [
+            ("demo-selection", "selected"),
+            ("schema-pruning", "pruned"),
+            ("prompt-assembly", "assembled"),
+            ("llm-call", "completed"),
+        ];
+        for (strategy, tail) in [
+            (Strategy::ChatGptSql, None),
+            (Strategy::ZeroShot, None),
+            (Strategy::FewShot, None),
+            (Strategy::C3, Some(("consistency-vote", "voted"))),
+            (Strategy::DailSql, Some(("consistency-vote", "voted"))),
+            (Strategy::DinSql, Some(("adaption", "repair"))),
+        ] {
+            let models = SharedModels {
+                classifier: models.classifier.clone(),
+                predictor: models.predictor.clone(),
+                pool: models.pool.clone(),
+            };
+            let expected: Vec<_> = head.into_iter().chain(tail).collect();
+            assert_eq!(
+                events(&LlmBaseline::new(strategy, CHATGPT, models)),
+                expected,
+                "{strategy:?}"
+            );
+        }
+        for cfg in crate::ALL_PLM {
+            let plm = crate::PlmTranslator::new(cfg, models.predictor.clone());
+            assert_eq!(events(&plm), [("skeleton-prediction", "decoded")], "{}", cfg.name);
+        }
     }
 
     #[test]

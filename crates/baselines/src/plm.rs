@@ -16,7 +16,7 @@ use eval::{Job, RunEnv, RunOutcome, Translation, Translator};
 use llm::writer::write_sample;
 use llm::{count_tokens, LlmProfile, CHATGPT};
 use nlmodel::SkeletonPredictor;
-use obs::{Counter, EventValue, MetricsRegistry, Stage};
+use obs::{Clock, Counter, EventValue, Stage};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sqlkit::Skeleton;
@@ -134,11 +134,9 @@ impl Translator for PlmTranslator {
             0x9d2c5680u64.wrapping_mul(job.idx as u64 + 1).wrapping_add(self.cfg.name.len() as u64)
         });
         let mut rng = StdRng::seed_from_u64(seed);
-        let reg = MetricsRegistry::default();
-        let events = job.events.or(self.env.events.as_deref());
-        let rec = events.map(|sink| sink.recorder(job.idx));
+        let probe = self.env.probe(&job, Clock::Virtual);
 
-        let span = reg.span(Stage::SkeletonPrediction);
+        let stage = probe.stage(Stage::SkeletonPrediction);
         let gold_skel = Skeleton::from_query(&ex.query);
         let beam = self.predictor.predict(&ex.nl, db, self.cfg.beam);
         let decoded_ok = if self.cfg.constrained {
@@ -149,19 +147,16 @@ impl Translator for PlmTranslator {
         } else {
             beam.first().map(|p| p.skeleton == gold_skel).unwrap_or(false)
         };
-        span.finish(beam.len() as u64);
         let composition_ok = decoded_ok || rng.random_bool(self.cfg.fidelity);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::SkeletonPrediction.name(),
-                "decoded",
-                &[
-                    ("beam", EventValue::U64(beam.len() as u64)),
-                    ("constrained", EventValue::Bool(self.cfg.constrained)),
-                    ("composition_ok", EventValue::Bool(composition_ok)),
-                ],
-            );
-        }
+        stage.finish_with(
+            beam.len() as u64,
+            "decoded",
+            &[
+                ("beam", EventValue::U64(beam.len() as u64)),
+                ("constrained", EventValue::Bool(self.cfg.constrained)),
+                ("composition_ok", EventValue::Bool(composition_ok)),
+            ],
+        );
 
         // Variants degrade PLM schema linking too (Fig. 10's premise): fine-tuned
         // linkers depend on lexical overlap even more than LLMs do.
@@ -180,17 +175,11 @@ impl Translator for PlmTranslator {
             prompt_tokens: count_tokens(&ex.nl),
             output_tokens: count_tokens(&sql),
         };
+        let reg = probe.metrics();
         reg.count(Counter::Samples, 1);
         reg.count(Counter::PromptTokens, translation.prompt_tokens);
         reg.count(Counter::OutputTokens, translation.output_tokens);
-        let metrics = reg.snapshot();
-        if let Some(shared) = &self.env.metrics {
-            shared.absorb(&metrics);
-        }
-        if let (Some(sink), Some(rec)) = (events, rec) {
-            sink.publish(rec);
-        }
-        RunOutcome { translation, metrics }
+        RunOutcome { translation, metrics: self.env.publish(probe) }
     }
 }
 

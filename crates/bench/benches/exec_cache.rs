@@ -104,7 +104,7 @@ fn distinct_heavy() -> Vec<String> {
 
 fn vote(samples: &[String], db: &Database, session: &ExecSession) -> purple::VoteOutcome {
     let mut rng = StdRng::seed_from_u64(11);
-    consistency_vote_with(samples, &session.bind(db), &mut rng, None, None)
+    consistency_vote_with(samples, &session.bind(db), &mut rng, &obs::Probe::detached())
 }
 
 /// One cold run on the engine: a fresh session (empty caches) executes every

@@ -1183,10 +1183,11 @@ impl eval::StatementTranslator for SimDmlTranslator {
         let mut rng = rand::rngs::StdRng::seed_from_u64(job.seed(self.base_seed));
         let candidates: Vec<String> =
             (0..3).map(|_| self.candidate(job.example, &mut rng)).collect();
+        let probe = obs::Probe::detached();
         let sql = if job.example.statement.is_write() {
-            purple::write_vote(&candidates, job.db, &self.session, None, None).sql
+            purple::write_vote(&candidates, job.db, &self.session, &probe).sql
         } else {
-            purple::raw_vote(&candidates, job.db, None, None)
+            purple::raw_vote(&candidates, job.db, &probe)
         };
         eval::Translation {
             sql: sql.clone(),

@@ -344,17 +344,12 @@ impl<'s, 'd> SessionDb<'s, 'd> {
         self.db
     }
 
-    /// Attach (or detach) a request-scoped span recorder (DESIGN.md §14).
+    /// Attach (or detach) a request-scoped span recorder (DESIGN.md §14):
+    /// pass the run's `obs::Probe::tracer`, so execution leaves nest under
+    /// the stage the probe has open.
     pub fn with_tracer(mut self, tracer: Option<&'s obs::TraceRecorder>) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// The attached span recorder, if any — callers above the engine (the
-    /// adaption repair loop, the consistency vote) use the same recorder for
-    /// their own stage spans, so execution leaves nest under them.
-    pub fn tracer(&self) -> Option<&'s obs::TraceRecorder> {
-        self.tracer
     }
 
     /// The owning session.

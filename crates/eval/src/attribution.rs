@@ -153,7 +153,7 @@ pub fn attribute(trace: &TraceSummary, gold: &Query, db: &Database) -> Option<Ve
         } else if adapted_ok.iter().any(|&ok| ok) {
             Blame::VoteMisselection
         } else {
-            category = trace.fixes.first().and_then(|f| obs::Fixer::from_category(f));
+            category = trace.fixes.first().and_then(|f| obs::Fixer::from_name(f));
             Blame::LlmHallucination
         }
     };

@@ -31,14 +31,16 @@
 //!
 //! [`RunEnv`] is the companion bundle on the translator side: session, ledger,
 //! metrics, and events in one cloneable value, attached via `with_env` instead
-//! of four builder setters, so a worker pool can share one environment.
+//! of four builder setters, so a worker pool can share one environment. It
+//! also opens and closes each run's [`obs::Probe`] ([`RunEnv::probe`],
+//! [`RunEnv::publish`]).
 
 use crate::attribution::AttributionReport;
 use crate::metrics::{em_match_str, ex_match_str_with};
 use crate::testsuite::{build_suite, ts_match_str_with, SuiteConfig, TestSuite};
 use engine::{Database, ExecSession};
 use llm::CostLedger;
-use obs::{EventSink, MetricsRegistry, StageMetrics};
+use obs::{Clock, EventSink, MetricsRegistry, Probe, StageMetrics};
 use spidergen::types::{Benchmark, Example};
 use std::sync::Arc;
 
@@ -79,14 +81,13 @@ pub struct Job<'a> {
     /// Optional seed override; when `None`, [`Job::seed`] derives the seed
     /// from the translator's base seed and `idx` (the usual path).
     pub seed: Option<u64>,
-    /// Optional structured-event sink: translators that support trace events
-    /// record them into a per-run [`obs::EventRecorder`] and publish the
-    /// finished batch here (ignored by translators without events).
+    /// Optional structured-event sink: instrumented translators record the
+    /// run's events through its [`obs::Probe`] and publish the finished batch
+    /// here (ignored by translators without events).
     pub events: Option<&'a obs::EventSink>,
-    /// Optional request-scoped span recorder: translators that support
-    /// hierarchical tracing (DESIGN.md §14) record one span per pipeline
-    /// stage, LLM call, and statement execution into it (ignored by
-    /// translators without tracing).
+    /// Optional request-scoped span recorder: instrumented translators record
+    /// one span per stage they run, plus one per statement execution, into
+    /// it (DESIGN.md §14; ignored by translators without tracing).
     pub tracer: Option<&'a obs::TraceRecorder>,
 }
 
@@ -153,11 +154,6 @@ pub struct RunEnv {
 }
 
 impl RunEnv {
-    /// An environment with every component detached (same as `default()`).
-    pub fn detached() -> Self {
-        RunEnv::default()
-    }
-
     /// Attach a shared execution session.
     pub fn with_session(mut self, session: Arc<ExecSession>) -> Self {
         self.session = Some(session);
@@ -186,6 +182,20 @@ impl RunEnv {
     /// (pass-through) session.
     pub fn session_or_disabled(&self) -> Arc<ExecSession> {
         self.session.clone().unwrap_or_else(ExecSession::disabled)
+    }
+
+    /// Open the probe one run of `job` records into: a private registry on
+    /// `clock`, an event recorder when the job or this environment has a sink
+    /// (the job's wins), and the job's tracer.
+    pub fn probe<'a>(&'a self, job: &Job<'a>, clock: Clock) -> Probe<'a> {
+        Probe::new(clock, job.idx, job.events.or(self.events.as_deref()), job.tracer)
+    }
+
+    /// Close a run's probe: absorb its snapshot into the shared registry (if
+    /// attached) in one step, publish its events as one batch, and return the
+    /// snapshot for [`RunOutcome::metrics`].
+    pub fn publish(&self, probe: Probe<'_>) -> StageMetrics {
+        probe.publish(self.metrics.as_deref())
     }
 }
 
@@ -324,10 +334,12 @@ impl RunOutcome {
 ///
 /// Translators that support shared observability accept a [`RunEnv`] via a
 /// builder-style `with_env(env)` method (`Purple`, `LlmBaseline`, and
-/// `PlmTranslator` all do). Each `run` records into a private per-run
-/// registry first and publishes the finished snapshot into the shared
-/// registry in one atomic step, so concurrent runs never interleave partial
-/// metrics.
+/// `PlmTranslator` all do). Each `run` opens one probe with
+/// [`RunEnv::probe`], opens and closes each stage on it once (the probe
+/// writes the registry, the event and the trace span together), and closes
+/// it with [`RunEnv::publish`], which publishes the finished snapshot and
+/// event batch in one step each, so concurrent runs never interleave partial
+/// metrics or events.
 pub trait Translator {
     /// Display name ("PURPLE (ChatGPT)").
     fn name(&self) -> String;

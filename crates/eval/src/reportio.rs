@@ -98,7 +98,7 @@ fn attribution_from_value(value: &JsonValue) -> Result<AttributionReport, String
             }
             "llm_by_category" => {
                 for (name, v) in val.as_object("llm_by_category")? {
-                    let fixer = Fixer::from_category(name)
+                    let fixer = Fixer::from_name(name)
                         .ok_or_else(|| format!("unknown category `{name}`"))?;
                     a.llm_by_category[fixer.index()] = v.as_usize(name)?;
                 }
@@ -286,8 +286,8 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
             }
             "fixers" => {
                 for (name, fixer_val) in val.as_object("fixers")? {
-                    let fixer = Fixer::from_category(name)
-                        .ok_or_else(|| format!("unknown fixer `{name}`"))?;
+                    let fixer =
+                        Fixer::from_name(name).ok_or_else(|| format!("unknown fixer `{name}`"))?;
                     let entry = &mut m.fixers[fixer.index()];
                     for (field, v) in fixer_val.as_object(name)? {
                         match field.as_str() {

@@ -27,14 +27,12 @@ use sqlkit::{hardness, Level, Query, Skeleton};
 /// One generation request.
 ///
 /// Construct with the [`GenerationRequest::for_prompt`] builder and chain the
-/// options that differ from the defaults; new observability fields can then be
-/// added without breaking construction sites:
+/// options that differ from the defaults; what the call records goes to the
+/// run's [`obs::Probe`], passed to [`LlmService::complete`] beside the request:
 ///
 /// ```ignore
-/// let req = GenerationRequest::for_prompt(&prompt, &gold, &db)
-///     .n(10)
-///     .seed(job_seed)
-///     .metrics(&registry);
+/// let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(10).seed(job_seed);
+/// let response = service.complete(&req, &probe);
 /// ```
 #[derive(Debug)]
 pub struct GenerationRequest<'a> {
@@ -61,23 +59,12 @@ pub struct GenerationRequest<'a> {
     /// Additional output tokens the strategy emits beyond SQL (CoT reasoning
     /// text, C3's uncontrolled chatter); added once per call.
     pub extra_output_tokens: u64,
-    /// Per-request metrics registry: `complete` records its llm-call span,
-    /// token counters, and context-overflow events here. Takes precedence over
-    /// any registry attached to the service with `with_metrics`.
-    pub metrics: Option<&'a obs::MetricsRegistry>,
-    /// Per-request structured-event recorder: `complete` emits one `llm-call`
-    /// event (samples, billed tokens, support level) here.
-    pub events: Option<&'a obs::EventRecorder>,
-    /// Per-request span recorder: `complete` records one `llm-call` span
-    /// (virtual work = billed prompt + output tokens, mirroring the metrics
-    /// span) into the request's trace tree (DESIGN.md §14).
-    pub tracer: Option<&'a obs::TraceRecorder>,
 }
 
 impl<'a> GenerationRequest<'a> {
     /// A request with the default knobs: no linking noise, unpruned schema, no
     /// instruction engineering, no CoT, one sample, seed 0, no extra output
-    /// tokens, no metrics.
+    /// tokens.
     pub fn for_prompt(prompt: &'a Prompt, gold: &'a Query, db: &'a Database) -> Self {
         GenerationRequest {
             prompt,
@@ -90,9 +77,6 @@ impl<'a> GenerationRequest<'a> {
             n: 1,
             seed: 0,
             extra_output_tokens: 0,
-            metrics: None,
-            events: None,
-            tracer: None,
         }
     }
 
@@ -137,24 +121,6 @@ impl<'a> GenerationRequest<'a> {
         self.extra_output_tokens = tokens;
         self
     }
-
-    /// Record this request's metrics into a registry.
-    pub fn metrics(mut self, registry: &'a obs::MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Record this request's structured trace events into a recorder.
-    pub fn events(mut self, recorder: &'a obs::EventRecorder) -> Self {
-        self.events = Some(recorder);
-        self
-    }
-
-    /// Record this request's span into a request-scoped trace recorder.
-    pub fn tracer(mut self, tracer: &'a obs::TraceRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
 }
 
 /// The service's response.
@@ -176,13 +142,12 @@ pub struct GenerationResponse {
 pub struct LlmService {
     profile: LlmProfile,
     ledger: Option<std::sync::Arc<crate::ledger::CostLedger>>,
-    metrics: Option<std::sync::Arc<obs::MetricsRegistry>>,
 }
 
 impl LlmService {
     /// A service instance for a model tier.
     pub fn new(profile: LlmProfile) -> Self {
-        LlmService { profile, ledger: None, metrics: None }
+        LlmService { profile, ledger: None }
     }
 
     /// Attach a shared cost ledger, builder-style: every `complete` call records
@@ -197,15 +162,6 @@ impl LlmService {
     /// whole run environment is swapped via `with_env`.
     pub fn set_ledger(&mut self, ledger: Option<std::sync::Arc<crate::ledger::CostLedger>>) {
         self.ledger = ledger;
-    }
-
-    /// Attach a shared metrics registry, builder-style (same convention as
-    /// `with_ledger`): every `complete` call without a per-request registry
-    /// records its llm-call span, token counters, and context-overflow events
-    /// here.
-    pub fn with_metrics(mut self, metrics: std::sync::Arc<obs::MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// The model profile.
@@ -250,11 +206,15 @@ impl LlmService {
         (prob.clamp(0.02, 0.99), support)
     }
 
-    /// Run a generation request.
-    pub fn complete(&self, req: &GenerationRequest<'_>) -> GenerationResponse {
-        let registry = req.metrics.or(self.metrics.as_deref());
-        let span = registry.map(|r| r.span(obs::Stage::LlmCall));
-        let tspan = req.tracer.map(|t| t.start(obs::Stage::LlmCall.name()));
+    /// Run a generation request as the run's llm-call stage: `probe` gets the
+    /// stage (virtual work = billed prompt + output tokens), the call and
+    /// token counters, and one `completed` event.
+    pub fn complete(
+        &self,
+        req: &GenerationRequest<'_>,
+        probe: &obs::Probe<'_>,
+    ) -> GenerationResponse {
+        let stage = probe.stage(obs::Stage::LlmCall);
         let mut rng = StdRng::seed_from_u64(req.seed);
         let full_tokens = req.prompt.token_len();
         let prompt_tokens = full_tokens.min(CONTEXT_LIMIT);
@@ -375,38 +335,31 @@ impl LlmService {
         if let Some(ledger) = &self.ledger {
             ledger.record(prompt_tokens, output_tokens);
         }
-        if let Some(reg) = registry {
-            reg.count(obs::Counter::LlmCalls, 1);
-            reg.count(obs::Counter::PromptTokens, prompt_tokens);
-            reg.count(obs::Counter::OutputTokens, output_tokens);
-            if full_tokens > CONTEXT_LIMIT {
-                reg.count(obs::Counter::ContextOverflows, 1);
-            }
+        let reg = probe.metrics();
+        reg.count(obs::Counter::LlmCalls, 1);
+        reg.count(obs::Counter::PromptTokens, prompt_tokens);
+        reg.count(obs::Counter::OutputTokens, output_tokens);
+        if full_tokens > CONTEXT_LIMIT {
+            reg.count(obs::Counter::ContextOverflows, 1);
         }
-        if let Some(span) = span {
-            span.finish(prompt_tokens + output_tokens);
-        }
-        if let (Some(tracer), Some(token)) = (req.tracer, tspan) {
-            tracer.finish(token, prompt_tokens + output_tokens);
-        }
-        if let Some(rec) = req.events {
-            rec.emit(
-                obs::Stage::LlmCall.name(),
-                "completed",
-                &[
-                    ("samples", obs::EventValue::U64(samples.len() as u64)),
-                    ("prompt_tokens", obs::EventValue::U64(prompt_tokens)),
-                    ("output_tokens", obs::EventValue::U64(output_tokens)),
-                    ("overflow", obs::EventValue::Bool(full_tokens > CONTEXT_LIMIT)),
-                    (
-                        "support",
-                        obs::EventValue::Str(
-                            support_level.map_or("none".to_string(), |l| format!("{l:?}")),
-                        ),
-                    ),
-                ],
-            );
-        }
+        let support = match support_level {
+            Some(Level::Detail) => "Detail",
+            Some(Level::Keywords) => "Keywords",
+            Some(Level::Structure) => "Structure",
+            Some(Level::Clause) => "Clause",
+            None => "none",
+        };
+        stage.finish_with(
+            prompt_tokens + output_tokens,
+            "completed",
+            &[
+                ("samples", obs::EventValue::U64(samples.len() as u64)),
+                ("prompt_tokens", obs::EventValue::U64(prompt_tokens)),
+                ("output_tokens", obs::EventValue::U64(output_tokens)),
+                ("overflow", obs::EventValue::Bool(full_tokens > CONTEXT_LIMIT)),
+                ("support", obs::EventValue::Str(support)),
+            ],
+        );
         GenerationResponse { samples, prompt_tokens, output_tokens, support_level }
     }
 }
@@ -493,8 +446,8 @@ mod tests {
         let svc = LlmService::new(CHATGPT);
         let req =
             GenerationRequest::for_prompt(&prompt, &gold, &db).prune_quality(1.0).n(5).seed(99);
-        let a = svc.complete(&req);
-        let b = svc.complete(&req);
+        let a = svc.complete(&req, &obs::Probe::detached());
+        let b = svc.complete(&req, &obs::Probe::detached());
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.samples.len(), 5);
         assert!(a.prompt_tokens > 0);
@@ -514,12 +467,12 @@ mod tests {
             nl: "q?".into(),
         };
         let svc = LlmService::new(CHATGPT);
-        let reg = obs::MetricsRegistry::new(obs::Clock::Virtual);
-        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).seed(1).metrics(&reg);
-        let resp = svc.complete(&req);
+        let probe = obs::Probe::detached();
+        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).seed(1);
+        let resp = svc.complete(&req, &probe);
         assert_eq!(resp.support_level, None);
         assert_eq!(resp.prompt_tokens, CONTEXT_LIMIT);
-        let snap = reg.snapshot();
+        let snap = probe.publish(None);
         assert_eq!(snap.counter(obs::Counter::ContextOverflows), 1);
         assert_eq!(snap.counter(obs::Counter::LlmCalls), 1);
         assert_eq!(snap.counter(obs::Counter::PromptTokens), resp.prompt_tokens);
@@ -542,11 +495,11 @@ mod tests {
             nl: "q?".into(),
         };
         let svc = LlmService::new(CHATGPT);
-        let rec = obs::EventRecorder::new(3, 16);
-        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(4).seed(7).events(&rec);
-        let resp = svc.complete(&req);
         let sink = obs::EventSink::bounded(4, 16);
-        sink.publish(rec);
+        let probe = obs::Probe::new(obs::Clock::Virtual, 3, Some(&sink), None);
+        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(4).seed(7);
+        let resp = svc.complete(&req, &probe);
+        probe.publish(None);
         let drained = sink.drain();
         assert_eq!(drained.events.len(), 1);
         let e = &drained.events[0];
@@ -559,7 +512,7 @@ mod tests {
         assert!(e
             .fields
             .iter()
-            .any(|(k, v)| *k == "support" && *v == obs::EventValue::Str("Detail".into())));
+            .any(|(k, v)| *k == "support" && *v == obs::EventValue::Str("Detail")));
     }
 
     #[test]
@@ -574,8 +527,8 @@ mod tests {
         };
         let svc = LlmService::new(CHATGPT);
         let mk = |n: usize| GenerationRequest::for_prompt(&prompt, &gold, &db).n(n).seed(5);
-        let one = svc.complete(&mk(1));
-        let ten = svc.complete(&mk(10));
+        let one = svc.complete(&mk(1), &obs::Probe::detached());
+        let ten = svc.complete(&mk(10), &obs::Probe::detached());
         assert!(ten.output_tokens > one.output_tokens * 5);
     }
 }

@@ -138,8 +138,8 @@ fn service_is_deterministic_and_respects_n() {
             .prune_quality(0.5)
             .n(n)
             .seed(req_seed);
-        let a = svc.complete(&req);
-        let b = svc.complete(&req);
+        let a = svc.complete(&req, &obs::Probe::detached());
+        let b = svc.complete(&req, &obs::Probe::detached());
         assert_eq!(a.samples, b.samples, "{case}");
         assert_eq!(a.samples.len(), n, "{case}");
         assert!(a.prompt_tokens <= CONTEXT_LIMIT, "{case}");

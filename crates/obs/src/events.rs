@@ -2,11 +2,12 @@
 //! for the pipeline (DESIGN.md §9).
 //!
 //! Every pipeline stage can emit [`Event`]s describing what it saw and decided
-//! for one example. Events are recorded into a per-run [`EventRecorder`]
-//! (lock-cheap, capped per example) and published into a shared [`EventSink`]
-//! as one atomic batch per example — mirroring how per-run
-//! [`crate::MetricsRegistry`] snapshots are absorbed into a shared registry, so
-//! concurrent runs never interleave partial event streams.
+//! for one example. Events are recorded into a per-run recorder (lock-cheap,
+//! capped per example; the run's [`crate::Probe`] owns it) and published
+//! into a shared [`EventSink`] as one atomic batch per example —
+//! next to the per-run [`crate::MetricsRegistry`] snapshot the probe absorbs
+//! into a shared registry, so concurrent runs never interleave partial event
+//! streams.
 //!
 //! # Determinism contract
 //!
@@ -45,9 +46,9 @@ pub enum EventValue {
     F64(f64),
     /// Boolean flag.
     Bool(bool),
-    /// Short label (fixer categories, support levels). Kept small by
-    /// convention — events are diagnostics, not payload storage.
-    Str(String),
+    /// Short static label (fixer categories, support levels): events are
+    /// diagnostics, not payload storage, and a label costs no allocation.
+    Str(&'static str),
 }
 
 impl EventValue {
@@ -69,8 +70,7 @@ pub struct Event {
     /// Per-example sequence number, assigned at record time (emission order
     /// within one run is deterministic, so so is `seq`).
     pub seq: u32,
-    /// Stage label (by convention a [`crate::Stage::name`], but free-form for
-    /// sub-steps).
+    /// Stage label (a [`crate::Stage::name`]).
     pub stage: &'static str,
     /// What happened ("pruned", "voted", "fix", ...).
     pub kind: &'static str,
@@ -135,14 +135,14 @@ struct RecorderState {
     dropped: u64,
 }
 
-/// Per-run event recorder for one example.
+/// Per-run event recorder for one example, owned by the run's
+/// [`crate::Probe`].
 ///
-/// Cheap to create per pipeline run; `emit` appends under a private mutex (so
-/// a run may share the recorder across helpers), the per-example cap is
-/// enforced at record time, and [`EventSink::publish`] consumes the recorder
-/// as one atomic batch.
+/// Cheap to create per pipeline run; `emit` appends under a private mutex,
+/// the per-example cap is enforced at record time, and
+/// [`EventSink::publish`] consumes the recorder as one atomic batch.
 #[derive(Debug)]
-pub struct EventRecorder {
+pub(crate) struct EventRecorder {
     example_idx: usize,
     cap: usize,
     inner: Mutex<RecorderState>,
@@ -151,18 +151,13 @@ pub struct EventRecorder {
 impl EventRecorder {
     /// A recorder for the example at `example_idx`, keeping at most `cap`
     /// events (further emissions are counted as dropped).
-    pub fn new(example_idx: usize, cap: usize) -> Self {
+    pub(crate) fn new(example_idx: usize, cap: usize) -> Self {
         EventRecorder { example_idx, cap, inner: Mutex::new(RecorderState::default()) }
-    }
-
-    /// The example this recorder belongs to.
-    pub fn example_idx(&self) -> usize {
-        self.example_idx
     }
 
     /// Record one event. Fields are copied; events beyond the cap are counted
     /// but not stored.
-    pub fn emit(
+    pub(crate) fn emit(
         &self,
         stage: &'static str,
         kind: &'static str,
@@ -181,21 +176,6 @@ impl EventRecorder {
             kind,
             fields: fields.to_vec(),
         });
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).events.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Emissions rejected by the cap so far.
-    pub fn dropped(&self) -> u64 {
-        lock(&self.inner).dropped
     }
 
     fn into_batch(self) -> (usize, Vec<Event>, u64) {
@@ -255,14 +235,13 @@ impl EventSink {
         self.max_examples
     }
 
-    /// The per-example event cap recorders created via [`EventSink::recorder`]
-    /// enforce.
+    /// The per-example event cap each run's recorder enforces.
     pub fn per_example_cap(&self) -> usize {
         self.per_example_cap
     }
 
     /// A fresh recorder for one example, capped to this sink's policy.
-    pub fn recorder(&self, example_idx: usize) -> EventRecorder {
+    pub(crate) fn recorder(&self, example_idx: usize) -> EventRecorder {
         EventRecorder::new(example_idx, self.per_example_cap)
     }
 
@@ -270,7 +249,7 @@ impl EventSink {
     /// the same example appends (re-sequenced, still capped). When the batch
     /// bound overflows, the largest-indexed batch is evicted — possibly the
     /// incoming one — keeping the retained set order-independent.
-    pub fn publish(&self, recorder: EventRecorder) {
+    pub(crate) fn publish(&self, recorder: EventRecorder) {
         let (idx, events, rec_dropped) = recorder.into_batch();
         let mut state = lock(&self.inner);
         state.dropped_events += rec_dropped;
@@ -341,8 +320,6 @@ mod tests {
         for _ in 0..5 {
             rec.emit("s", "k", &[]);
         }
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
         let sink = EventSink::bounded(8, 2);
         sink.publish(rec);
         let d = sink.drain();
@@ -396,7 +373,7 @@ mod tests {
             fields: vec![
                 ("quality", EventValue::F64(0.5)),
                 ("covered", EventValue::Bool(true)),
-                ("note", EventValue::Str("a\"b\\c\n".into())),
+                ("note", EventValue::Str("a\"b\\c\n")),
                 ("cols", EventValue::U64(18)),
             ],
         };

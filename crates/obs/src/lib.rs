@@ -1,28 +1,27 @@
 //! # purple-obs
 //!
 //! The pipeline observability layer: a hand-rolled, `Sync`, allocation-light
-//! metrics registry (counters, gauges, and fixed-bucket latency histograms) plus
-//! a [`Span`] guard for timing scopes. Every stage of the PURPLE pipeline —
-//! schema pruning, skeleton prediction, demonstration selection, prompt
-//! assembly, the LLM call, the six adaption fixers, and the consistency vote —
-//! records into one of these registries, and the per-run [`StageMetrics`]
-//! snapshots merge deterministically across evaluation workers (DESIGN.md §8).
+//! metrics registry (counters, gauges, and fixed-bucket latency histograms)
+//! and the per-run [`Probe`] every stage records through. Every stage of the
+//! PURPLE pipeline — schema pruning, skeleton prediction, demonstration
+//! selection, prompt assembly, the LLM call, the six adaption fixers, and the
+//! consistency vote — opens a stage on its run's probe and closes it once,
+//! and the per-run [`StageMetrics`] snapshots merge deterministically across
+//! evaluation workers (DESIGN.md §8).
 //!
-//! Two clocks are supported: [`Clock::Virtual`] (the default) measures spans in
-//! deterministic *work units* declared by the instrumented code, so aggregated
-//! metrics are byte-identical for any thread count; [`Clock::Wall`] measures
-//! real monotonic nanoseconds for profiling, at the cost of byte-stability.
+//! Two clocks are supported: [`Clock::Virtual`] (the default) measures stages
+//! in deterministic *work units* declared by the instrumented code, so
+//! aggregated metrics are byte-identical for any thread count; [`Clock::Wall`]
+//! measures real monotonic nanoseconds for profiling, at the cost of
+//! byte-stability.
 //!
-//! Beyond aggregate metrics, the [`events`] module provides a structured,
-//! bounded per-example trace-event log ([`Event`] / [`EventRecorder`] /
-//! [`EventSink`]): stages emit what they saw and decided for one example, and
-//! the sink drains in ascending example order so the JSONL stream is
-//! byte-identical for any worker count (DESIGN.md §9).
-//!
-//! The [`trace`] module adds request-scoped hierarchical span trees on the
-//! same two-clock discipline ([`TraceRecorder`] / [`SpanSink`], DESIGN.md
-//! §14), and [`prom`] renders a snapshot as Prometheus text exposition for
-//! the serving layer's live `{"cmd":"metrics"}` telemetry verb.
+//! A probe writes three views when a stage closes: the registry histogram,
+//! a structured per-example event ([`events`]: [`Event`] / [`EventSink`],
+//! drained in ascending example order so the JSONL stream is byte-identical
+//! for any worker count, DESIGN.md §9), and a span in the
+//! request's hierarchical trace ([`trace`]: [`TraceRecorder`] / [`SpanSink`],
+//! DESIGN.md §14). [`prom`] renders a snapshot as Prometheus text exposition
+//! for the serving layer's live `{"cmd":"metrics"}` telemetry verb.
 //!
 //! The [`window`] and [`slo`] modules layer *time-resolved* telemetry on top
 //! (DESIGN.md §16): ring-buffer sliding windows giving rolling rates,
@@ -35,6 +34,7 @@
 mod cache;
 pub mod events;
 mod ops;
+mod probe;
 pub mod prom;
 mod registry;
 pub mod slo;
@@ -44,12 +44,13 @@ pub mod window;
 
 pub use cache::{CacheCounters, CacheStats, StageCacheCounters, StageCacheStats};
 pub use events::{
-    to_jsonl, DrainedEvents, Event, EventRecorder, EventSink, EventValue,
-    DEFAULT_EVENTS_PER_EXAMPLE, DEFAULT_MAX_EXAMPLES,
+    to_jsonl, DrainedEvents, Event, EventSink, EventValue, DEFAULT_EVENTS_PER_EXAMPLE,
+    DEFAULT_MAX_EXAMPLES,
 };
 pub use ops::{ExecOpCounters, ExecOpStats};
+pub use probe::{Probe, StageScope};
 pub use prom::{render_prometheus, SinkLoss};
-pub use registry::{Clock, MetricsRegistry, Span};
+pub use registry::{Clock, MetricsRegistry};
 pub use slo::{SloSpec, SloStatus, SloTracker, SloVerdict};
 pub use snapshot::{
     CounterBlock, FixerStats, GaugeSlot, Histogram, StageMetrics, StageStats, NUM_BUCKETS,
@@ -185,14 +186,8 @@ impl Fixer {
         }
     }
 
-    /// Map an `engine::ExecError::category` label to its fixer.
-    pub fn from_category(category: &str) -> Option<Fixer> {
-        Fixer::from_name(category)
-    }
-
-    /// Parse a [`Fixer::name`] back (same label space as `from_category`; this
-    /// spelling completes the `from_name` ↔ `name` convention every other
-    /// metric enum follows).
+    /// Parse a [`Fixer::name`] back; this is also how an
+    /// `engine::ExecError::category` label maps to its fixer.
     pub fn from_name(name: &str) -> Option<Fixer> {
         Fixer::ALL.into_iter().find(|f| f.name() == name)
     }

@@ -1,10 +1,10 @@
-//! The thread-safe metrics registry and its RAII [`Span`] guard.
+//! The thread-safe metrics registry (stages record into it through a
+//! [`crate::Probe`]).
 
 use crate::{Counter, Fixer, Gauge, Stage, StageMetrics};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
-/// How span durations are measured.
+/// How stage durations are measured.
 ///
 /// The default, [`Clock::Virtual`], records the deterministic *work units*
 /// declared by the instrumented code (column counts, token counts, sample
@@ -13,7 +13,7 @@ use std::time::Instant;
 /// at the cost of byte-stability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Clock {
-    /// Deterministic work units declared via [`Span::set_work`]/[`Span::finish`].
+    /// Deterministic work units declared via [`StageScope::finish`](crate::StageScope::finish).
     #[default]
     Virtual,
     /// Real elapsed monotonic nanoseconds.
@@ -64,28 +64,12 @@ impl MetricsRegistry {
         Arc::new(Self::new(clock))
     }
 
-    /// The clock this registry measures spans with.
+    /// The clock this registry measures stages with.
     pub fn clock(&self) -> Clock {
         self.clock
     }
 
-    /// Open a timing span for a stage. The span records when dropped (or via
-    /// [`Span::finish`]); under [`Clock::Virtual`] its value is the declared
-    /// work, under [`Clock::Wall`] the elapsed nanoseconds.
-    pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span {
-            reg: self,
-            stage,
-            start: match self.clock {
-                Clock::Wall => Some(Instant::now()),
-                Clock::Virtual => None,
-            },
-            work: 0,
-            done: false,
-        }
-    }
-
-    /// Record one latency observation for a stage directly (no span).
+    /// Record one latency observation for a stage.
     pub fn observe(&self, stage: Stage, value: u64) {
         lock(&self.inner).observe(stage, value);
     }
@@ -136,48 +120,6 @@ impl MetricsRegistry {
     }
 }
 
-/// RAII guard for one stage timing. Created by [`MetricsRegistry::span`];
-/// records on drop.
-#[must_use = "a span records when it goes out of scope; binding it to `_` drops it immediately"]
-pub struct Span<'a> {
-    reg: &'a MetricsRegistry,
-    stage: Stage,
-    start: Option<Instant>,
-    work: u64,
-    done: bool,
-}
-
-impl Span<'_> {
-    /// Declare the deterministic work units this span covered (used as the
-    /// recorded value under [`Clock::Virtual`]; ignored under [`Clock::Wall`]).
-    pub fn set_work(&mut self, work: u64) {
-        self.work = work;
-    }
-
-    /// Close the span now with the given work units.
-    pub fn finish(mut self, work: u64) {
-        self.work = work;
-        self.record();
-        self.done = true;
-    }
-
-    fn record(&self) {
-        let value = match self.start {
-            Some(start) => start.elapsed().as_nanos() as u64,
-            None => self.work,
-        };
-        self.reg.observe(self.stage, value);
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.record();
-        }
-    }
-}
-
 /// Lock `m`, ignoring poisoning: every critical section in this crate leaves
 /// the data valid at every step, so a lock poisoned by a panicking thread still
 /// guards valid data, and later callers keep working.
@@ -189,33 +131,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-
-    #[test]
-    fn virtual_spans_record_declared_work() {
-        let reg = MetricsRegistry::new(Clock::Virtual);
-        {
-            let mut span = reg.span(Stage::SchemaPruning);
-            span.set_work(42);
-        }
-        reg.span(Stage::SchemaPruning).finish(8);
-        let snap = reg.snapshot();
-        assert_eq!(snap.stage(Stage::SchemaPruning).calls, 2);
-        assert_eq!(snap.stage(Stage::SchemaPruning).latency.sum, 50);
-        assert_eq!(snap.stage(Stage::SchemaPruning).latency.max, 42);
-    }
-
-    #[test]
-    fn wall_spans_record_elapsed_nanos() {
-        let reg = MetricsRegistry::new(Clock::Wall);
-        {
-            let mut span = reg.span(Stage::LlmCall);
-            span.set_work(7); // ignored under Wall
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.stage(Stage::LlmCall).calls, 1);
-        assert!(snap.stage(Stage::LlmCall).latency.sum >= 1_000_000);
-    }
 
     #[test]
     fn drain_is_atomic_and_preserves_total_under_contention() {

@@ -8,13 +8,14 @@
 //! All execution flows through an [`engine::SessionDb`], so the repair loop and
 //! the vote share one memoization layer: the 30 vote samples are typically a
 //! handful of distinct strings, and identical samples cost one execution. The
-//! `*_with` variants take an explicit bound session; the plain names keep their
-//! historical signatures and run uncached. Repair outcomes and vote winners are
-//! identical either way, because a cache hit returns exactly the result set the
-//! engine would compute (DESIGN.md §10).
+//! `*_with` variants take an explicit bound session; the plain names run
+//! uncached. Repair outcomes and vote winners are identical either way, because
+//! a cache hit returns exactly the result set the engine would compute
+//! (DESIGN.md §10). Every vote records into the run's [`Probe`]
+//! ([`Probe::detached`] when nobody is watching).
 
 use engine::{Database, ExecError, ExecSession, SessionDb};
-use obs::{Counter, EventRecorder, EventValue, Fixer, MetricsRegistry, Stage};
+use obs::{Counter, EventValue, Fixer, MetricsRegistry, Probe, Stage};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sqlkit::ast::*;
@@ -23,10 +24,10 @@ use sqlkit::Query;
 /// Record one sample's adaption outcome: each applied fix is a *hit* for its
 /// fixer, a *success* when the sample ended up executable; samples that needed
 /// repair also bump the repaired/unrepaired counters.
-fn record_adaption(reg: &MetricsRegistry, result: &AdaptResult) {
+pub fn record_adaption(reg: &MetricsRegistry, result: &AdaptResult) {
     reg.count(Counter::Samples, 1);
     for category in &result.fixes {
-        if let Some(fixer) = Fixer::from_category(category) {
+        if let Some(fixer) = Fixer::from_name(category) {
             reg.record_fix(fixer, result.executable);
         }
     }
@@ -542,51 +543,30 @@ pub struct VoteOutcome {
 }
 
 /// Majority vote over *raw* samples by execution result, without any repair — the
-/// plain execution-consistency of C3 / DAIL-SQL, and what remains of §IV-D when the
-/// "-Database Adaption" ablation removes the fixers. When a registry is given,
-/// the vote is timed as the consistency-vote stage and the samples are counted;
-/// when a recorder is given, one `consistency-vote` event is emitted.
-pub fn raw_vote(
-    samples: &[String],
-    db: &Database,
-    metrics: Option<&MetricsRegistry>,
-    events: Option<&EventRecorder>,
-) -> String {
+/// plain execution-consistency of C3 / DAIL-SQL / SQL-PaLM, and what remains of
+/// §IV-D when the "-Database Adaption" ablation removes the fixers. The vote is
+/// the run's consistency-vote stage on `probe`: it counts the samples and emits
+/// one `voted` event.
+pub fn raw_vote(samples: &[String], db: &Database, probe: &Probe<'_>) -> String {
     let session = ExecSession::disabled();
-    raw_vote_with(samples, &session.bind(db), metrics, events)
+    raw_vote_with(samples, &session.bind(db), probe)
 }
 
 /// [`raw_vote`] through a bound execution session: duplicate samples execute
 /// once and EX scoring later reuses the same cached results.
-pub fn raw_vote_with(
-    samples: &[String],
-    sdb: &SessionDb<'_, '_>,
-    metrics: Option<&MetricsRegistry>,
-    events: Option<&EventRecorder>,
-) -> String {
-    let span = metrics.map(|r| r.span(Stage::ConsistencyVote));
-    let tspan = sdb.tracer().map(|t| t.start(Stage::ConsistencyVote.name()));
-    if let Some(reg) = metrics {
-        reg.count(Counter::Samples, samples.len() as u64);
-    }
+pub fn raw_vote_with(samples: &[String], sdb: &SessionDb<'_, '_>, probe: &Probe<'_>) -> String {
+    let stage = probe.stage(Stage::ConsistencyVote);
+    probe.metrics().count(Counter::Samples, samples.len() as u64);
     let (result, executable) = raw_vote_inner(samples, sdb);
-    if let Some(span) = span {
-        span.finish(samples.len() as u64);
-    }
-    if let (Some(tracer), Some(token)) = (sdb.tracer(), tspan) {
-        tracer.finish(token, samples.len() as u64);
-    }
-    if let Some(rec) = events {
-        rec.emit(
-            Stage::ConsistencyVote.name(),
-            "voted",
-            &[
-                ("samples", EventValue::U64(samples.len() as u64)),
-                ("executable", EventValue::Bool(executable)),
-                ("adapted", EventValue::Bool(false)),
-            ],
-        );
-    }
+    stage.finish_with(
+        samples.len() as u64,
+        "voted",
+        &[
+            ("samples", EventValue::U64(samples.len() as u64)),
+            ("executable", EventValue::Bool(executable)),
+            ("adapted", EventValue::Bool(false)),
+        ],
+    );
     result
 }
 
@@ -627,20 +607,17 @@ fn result_key(rs: &engine::ResultSet) -> String {
 /// Adapt every sample, execute the executable ones, and return the first sample
 /// whose result agrees with the consensus (§IV-D2).
 ///
-/// When a registry is given, the repair loop is timed as the adaption stage
-/// (per-fixer hit/success counters included) and the tally as the
-/// consistency-vote stage. When a recorder is given, one `adaption`/`repair`
-/// event is emitted per sample the repair loop touched, plus one
-/// `consistency-vote` event for the tally.
+/// On `probe`, the repair loop is the adaption stage (per-fixer hit/success
+/// counters included, and one `repair` event per sample the loop touched) and
+/// the tally is the consistency-vote stage, closed with one `voted` event.
 pub fn consistency_vote(
     samples: &[String],
     db: &Database,
     rng: &mut StdRng,
-    metrics: Option<&MetricsRegistry>,
-    events: Option<&EventRecorder>,
+    probe: &Probe<'_>,
 ) -> VoteOutcome {
     let session = ExecSession::disabled();
-    consistency_vote_with(samples, &session.bind(db), rng, metrics, events)
+    consistency_vote_with(samples, &session.bind(db), rng, probe)
 }
 
 /// [`consistency_vote`] through a bound execution session.
@@ -659,11 +636,9 @@ pub fn consistency_vote_with(
     samples: &[String],
     sdb: &SessionDb<'_, '_>,
     rng: &mut StdRng,
-    metrics: Option<&MetricsRegistry>,
-    events: Option<&EventRecorder>,
+    probe: &Probe<'_>,
 ) -> VoteOutcome {
-    let adapt_span = metrics.map(|r| r.span(Stage::Adaption));
-    let adapt_tspan = sdb.tracer().map(|t| t.start(Stage::Adaption.name()));
+    let adaption = probe.stage(Stage::Adaption);
     let mut adapted: Vec<AdaptResult> = Vec::with_capacity(samples.len());
     let mut keys: Vec<Option<String>> = Vec::with_capacity(samples.len());
     let mut fixes = Vec::new();
@@ -685,53 +660,35 @@ pub fn consistency_vote_with(
                 (a, key)
             }
         };
-        if let Some(reg) = metrics {
-            record_adaption(reg, &a);
-        }
-        if let Some(rec) = events {
-            if !a.fixes.is_empty() {
-                rec.emit(
-                    Stage::Adaption.name(),
-                    "repair",
-                    &[
-                        ("sample", EventValue::U64(i as u64)),
-                        ("fixes", EventValue::U64(a.fixes.len() as u64)),
-                        ("category", EventValue::Str(a.fixes[0].to_string())),
-                        ("executable", EventValue::Bool(a.executable)),
-                    ],
-                );
-            }
+        record_adaption(probe.metrics(), &a);
+        if !a.fixes.is_empty() {
+            probe.emit(
+                Stage::Adaption,
+                "repair",
+                &[
+                    ("sample", EventValue::U64(i as u64)),
+                    ("fixes", EventValue::U64(a.fixes.len() as u64)),
+                    ("category", EventValue::Str(a.fixes[0])),
+                    ("executable", EventValue::Bool(a.executable)),
+                ],
+            );
         }
         fixes.extend(a.fixes.iter().copied());
         keys.push(key);
         adapted.push(a);
     }
-    if let Some(span) = adapt_span {
-        span.finish(samples.len() as u64);
-    }
-    if let (Some(tracer), Some(token)) = (sdb.tracer(), adapt_tspan) {
-        tracer.finish(token, samples.len() as u64);
-    }
-    let vote_span = metrics.map(|r| r.span(Stage::ConsistencyVote));
-    let vote_tspan = sdb.tracer().map(|t| t.start(Stage::ConsistencyVote.name()));
+    adaption.finish(samples.len() as u64);
+    let vote = probe.stage(Stage::ConsistencyVote);
     let outcome = tally(adapted, keys, fixes);
-    if let Some(span) = vote_span {
-        span.finish(samples.len() as u64);
-    }
-    if let (Some(tracer), Some(token)) = (sdb.tracer(), vote_tspan) {
-        tracer.finish(token, samples.len() as u64);
-    }
-    if let Some(rec) = events {
-        rec.emit(
-            Stage::ConsistencyVote.name(),
-            "voted",
-            &[
-                ("samples", EventValue::U64(samples.len() as u64)),
-                ("executable", EventValue::Bool(outcome.executable)),
-                ("adapted", EventValue::Bool(true)),
-            ],
-        );
-    }
+    vote.finish_with(
+        samples.len() as u64,
+        "voted",
+        &[
+            ("samples", EventValue::U64(samples.len() as u64)),
+            ("executable", EventValue::Bool(outcome.executable)),
+            ("adapted", EventValue::Bool(true)),
+        ],
+    );
     outcome
 }
 
@@ -747,18 +704,16 @@ pub fn consistency_vote_with(
 /// "preserves" state and must not collide with a no-op write).
 ///
 /// The repair loop does not run here: the six fixers of Table 2 target
-/// SELECT-shaped errors, so write voting is the plain consistency vote.
+/// SELECT-shaped errors, so write voting is the plain consistency vote, and
+/// records on `probe` as [`raw_vote`] does.
 pub fn write_vote(
     samples: &[String],
     db: &Database,
     session: &ExecSession,
-    metrics: Option<&MetricsRegistry>,
-    events: Option<&EventRecorder>,
+    probe: &Probe<'_>,
 ) -> VoteOutcome {
-    let span = metrics.map(|r| r.span(Stage::ConsistencyVote));
-    if let Some(reg) = metrics {
-        reg.count(Counter::Samples, samples.len() as u64);
-    }
+    let stage = probe.stage(Stage::ConsistencyVote);
+    probe.metrics().count(Counter::Samples, samples.len() as u64);
     let mut keys: Vec<Option<String>> = Vec::with_capacity(samples.len());
     for s in samples {
         let key = session.parse_statement(s).filter(|stmt| stmt.is_write()).and_then(|stmt| {
@@ -786,20 +741,15 @@ pub fn write_vote(
             adapted: samples.to_vec(),
         },
     };
-    if let Some(span) = span {
-        span.finish(samples.len() as u64);
-    }
-    if let Some(rec) = events {
-        rec.emit(
-            Stage::ConsistencyVote.name(),
-            "voted",
-            &[
-                ("samples", EventValue::U64(samples.len() as u64)),
-                ("executable", EventValue::Bool(outcome.executable)),
-                ("adapted", EventValue::Bool(false)),
-            ],
-        );
-    }
+    stage.finish_with(
+        samples.len() as u64,
+        "voted",
+        &[
+            ("samples", EventValue::U64(samples.len() as u64)),
+            ("executable", EventValue::Bool(outcome.executable)),
+            ("adapted", EventValue::Bool(false)),
+        ],
+    );
     outcome
 }
 
@@ -1001,7 +951,7 @@ mod tests {
             "SELECT country FROM tv_channel WHERE id = 2".to_string(),
             "SELECT country FROM tv_channel WHERE id = 1".to_string(),
         ];
-        let v = consistency_vote(&samples, &d, &mut rng, None, None);
+        let v = consistency_vote(&samples, &d, &mut rng, &Probe::detached());
         assert!(v.executable);
         assert!(v.sql.contains("id = 1"), "{}", v.sql);
         assert_eq!(v.adapted.len(), samples.len(), "one adapted SQL per sample");
@@ -1019,8 +969,9 @@ mod tests {
             .map(|id| format!("SELECT country FROM tv_channel WHERE id = {id}"))
             .collect();
         for round in 0..64 {
-            assert_eq!(raw_vote(&samples, &d, None, None), samples[0], "raw_vote, round {round}");
-            let v = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(5), None, None);
+            let probe = Probe::detached();
+            assert_eq!(raw_vote(&samples, &d, &probe), samples[0], "raw_vote, round {round}");
+            let v = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(5), &probe);
             assert_eq!(v.sql, samples[0], "consistency_vote, round {round}");
         }
     }
@@ -1031,11 +982,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let samples =
             vec!["totally not sql".to_string(), "SELECT country FROM tv_channel".to_string()];
-        let v = consistency_vote(&samples, &d, &mut rng, None, None);
+        let v = consistency_vote(&samples, &d, &mut rng, &Probe::detached());
         assert!(v.executable);
         assert!(v.sql.contains("country"));
         // And when nothing works, the first sample comes back.
-        let v = consistency_vote(&["garbage".to_string()], &d, &mut rng, None, None);
+        let v = consistency_vote(&["garbage".to_string()], &d, &mut rng, &Probe::detached());
         assert!(!v.executable);
         assert_eq!(v.sql, "garbage");
     }
@@ -1056,14 +1007,14 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let uncached = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(11), None, None);
+        let probe = Probe::detached();
+        let uncached = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(11), &probe);
         let session = ExecSession::shared();
         let cached = consistency_vote_with(
             &samples,
             &session.bind(&d),
             &mut StdRng::seed_from_u64(11),
-            None,
-            None,
+            &probe,
         );
         assert_eq!(cached.sql, uncached.sql);
         assert_eq!(cached.executable, uncached.executable);
@@ -1081,30 +1032,28 @@ mod tests {
             "SELECT countrys FROM tv_channel".to_string(),
             "SELECT country FROM tv_channel".to_string(),
         ];
-        let rec = EventRecorder::new(0, 16);
-        let v = consistency_vote(&samples, &d, &mut rng, None, Some(&rec));
-        assert!(v.executable);
         let sink = obs::EventSink::bounded(1, 16);
-        sink.publish(rec);
+        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        let v = consistency_vote(&samples, &d, &mut rng, &probe);
+        assert!(v.executable);
+        probe.publish(None);
         let events = sink.drain().events;
         let repair = events
             .iter()
             .find(|e| e.kind == "repair")
             .expect("misspelled sample produces a repair event");
         assert_eq!(repair.stage, "adaption");
-        assert!(
-            repair
-                .fields
-                .iter()
-                .any(|(k, f)| *k == "category"
-                    && *f == EventValue::Str("schema-hallucination".into()))
-        );
+        assert!(repair
+            .fields
+            .iter()
+            .any(|(k, f)| *k == "category" && *f == EventValue::Str("schema-hallucination")));
         let voted = events.iter().find(|e| e.kind == "voted").expect("tally emits voted");
         assert_eq!(voted.stage, "consistency-vote");
 
-        let rec = EventRecorder::new(0, 16);
-        raw_vote(&samples, &d, None, Some(&rec));
-        assert_eq!(rec.len(), 1, "raw vote emits exactly one event");
+        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        raw_vote(&samples, &d, &probe);
+        probe.publish(None);
+        assert_eq!(sink.drain().events.len(), 1, "raw vote emits exactly one event");
     }
 
     #[test]
@@ -1119,7 +1068,7 @@ mod tests {
             "UPDATE tv_channel SET country = 'Spain' WHERE id = 1".to_string(),
         ];
         let session = ExecSession::shared();
-        let v = write_vote(&samples, &d, &session, None, None);
+        let v = write_vote(&samples, &d, &session, &Probe::detached());
         assert!(v.executable);
         assert_eq!(v.sql, samples[0], "first sample with the majority state wins");
         assert!(v.fixes.is_empty(), "write vote never repairs");
@@ -1138,7 +1087,7 @@ mod tests {
             "DELETE FROM tv_channel WHERE id = 2".to_string(),
         ];
         let session = ExecSession::shared();
-        let v = write_vote(&samples, &d, &session, None, None);
+        let v = write_vote(&samples, &d, &session, &Probe::detached());
         assert!(v.executable);
         assert_eq!(v.sql, samples[2]);
         assert_eq!(d.rows[0].len(), 2, "vote executed against transient copies only");
@@ -1149,7 +1098,7 @@ mod tests {
         let d = db();
         let samples =
             vec!["DELETE FROM nowhere".to_string(), "UPDATE ghosts SET x = 1".to_string()];
-        let v = write_vote(&samples, &d, &ExecSession::disabled(), None, None);
+        let v = write_vote(&samples, &d, &ExecSession::disabled(), &Probe::detached());
         assert!(!v.executable);
         assert_eq!(v.sql, samples[0]);
         assert_eq!(v.adapted, samples);
@@ -1163,14 +1112,14 @@ mod tests {
             "INSERT INTO cartoon (id, title, written_by, channel) VALUES (2, 'Kite', 'Maria', 1)"
                 .to_string(),
         ];
-        let reg = MetricsRegistry::new(obs::Clock::Virtual);
-        let rec = EventRecorder::new(0, 16);
-        let cached = write_vote(&samples, &d, &ExecSession::shared(), Some(&reg), Some(&rec));
-        let uncached = write_vote(&samples, &d, &ExecSession::disabled(), None, None);
+        let sink = obs::EventSink::bounded(1, 16);
+        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        let cached = write_vote(&samples, &d, &ExecSession::shared(), &probe);
+        let uncached = write_vote(&samples, &d, &ExecSession::disabled(), &Probe::detached());
         assert_eq!(cached.sql, uncached.sql, "cache modes agree on the winner");
         assert!(cached.executable);
-        let snap = reg.snapshot();
+        let snap = probe.publish(None);
         assert_eq!(snap.counter(Counter::Samples), 2);
-        assert_eq!(rec.len(), 1, "write vote emits exactly one voted event");
+        assert_eq!(sink.drain().events.len(), 1, "write vote emits exactly one voted event");
     }
 }

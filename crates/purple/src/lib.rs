@@ -25,7 +25,7 @@ pub mod selection;
 
 pub use adaption::{
     adapt_sql, adapt_sql_with, consistency_vote, consistency_vote_with, raw_vote, raw_vote_with,
-    write_vote, AdaptResult, VoteOutcome, MAX_ATTEMPTS,
+    record_adaption, write_vote, AdaptResult, VoteOutcome, MAX_ATTEMPTS,
 };
 pub use automaton::{Automaton, AutomatonSet};
 pub use generation::{synthesize_demonstration, DemoMode};

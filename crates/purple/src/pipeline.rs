@@ -16,7 +16,7 @@ use engine::Database;
 use eval::{Job, RunEnv, Translation, Translator};
 use llm::{Demonstration, GenerationRequest, LlmProfile, LlmService, Prompt};
 use nlmodel::{SchemaClassifier, SkeletonPrediction, SkeletonPredictor, TrainConfig};
-use obs::{Clock, EventValue, Gauge, MetricsRegistry, Stage, StageMetrics};
+use obs::{Clock, EventValue, Gauge, Stage, StageMetrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spidergen::types::{Benchmark, Example};
@@ -165,7 +165,7 @@ pub struct Purple {
     /// snapshots are absorbed into it), and default event sink. The ledger
     /// lives inside `service`.
     env: RunEnv,
-    /// Clock for per-run span values (virtual work units by default, so
+    /// Clock for per-run stage values (virtual work units by default, so
     /// metrics stay byte-identical across thread counts).
     clock: Clock,
 }
@@ -235,7 +235,7 @@ impl Purple {
     /// previous one: the execution session backs the adaption repair loop and
     /// the consistency vote, the ledger records every LLM call, per-run
     /// metric snapshots are absorbed into the registry (whose clock is also
-    /// adopted for spans), and the event sink is the default destination for
+    /// adopted for stages), and the event sink is the default destination for
     /// jobs that don't carry their own ([`Job::with_events`] wins when both
     /// are present). Every component is optional — see [`RunEnv`].
     pub fn with_env(mut self, env: RunEnv) -> Self {
@@ -247,7 +247,7 @@ impl Purple {
         self
     }
 
-    /// Choose the span clock: [`Clock::Virtual`] (default, deterministic work
+    /// Choose the stage clock: [`Clock::Virtual`] (default, deterministic work
     /// units) or [`Clock::Wall`] (real elapsed nanoseconds).
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
@@ -261,7 +261,7 @@ impl Purple {
     }
 
     /// Reconfigure (ablations / budget sweeps / model swaps) without retraining.
-    /// Keeps the span clock but, like the fresh [`LlmService`], drops the
+    /// Keeps the stage clock but, like the fresh [`LlmService`], drops the
     /// attached [`RunEnv`] — re-attach with [`Purple::with_env`].
     pub fn with_config(&self, cfg: PurpleConfig) -> Purple {
         let service = LlmService::new(cfg.profile);
@@ -289,9 +289,9 @@ impl Purple {
     ///
     /// All randomness derives from the config seed and [`Job::idx`] (or the
     /// job's seed override), so calls are order- and thread-independent. Every
-    /// stage is timed under a span; the returned [`RunOutcome::metrics`] is the
-    /// complete per-run snapshot, and a trace is captured when
-    /// [`Job::with_trace`] asks for one.
+    /// stage is opened and closed once on the run's [`obs::Probe`]; the
+    /// returned [`RunOutcome::metrics`] is the complete per-run snapshot, and a
+    /// trace is captured when [`Job::with_trace`] asks for one.
     pub fn run(&self, job: Job<'_>) -> RunOutcome {
         self.run_with_pruner(job, None)
     }
@@ -322,25 +322,14 @@ impl Purple {
         let (ex, db) = (job.example, job.db);
         let seed = job.seed(self.cfg.seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        let reg = MetricsRegistry::new(self.clock);
-        let events = job.events.or(self.env.events.as_deref());
-        let rec = events.map(|sink| sink.recorder(job.idx));
-        // Request-scoped trace spans mirror the registry spans one-for-one,
-        // declaring the same virtual work (DESIGN.md §14).
-        let tstart = |name: &'static str| job.tracer.map(|t| t.start(name));
-        let tfinish = |token: Option<obs::SpanToken>, work: u64| {
-            if let (Some(tracer), Some(token)) = (job.tracer, token) {
-                tracer.finish(token, work);
-            }
-        };
+        let probe = self.env.probe(&job, self.clock);
 
         // --- Step 1: schema pruning -----------------------------------------
         // Recall failures propagate (§III-B1: "It is important to keep high recall
         // to reduce the risk of error propagation"): when the pruned schema misses
         // items the gold SQL needs, the LLM cannot reference them and schema
         // linking degrades sharply.
-        let span = reg.span(Stage::SchemaPruning);
-        let tspan = tstart(Stage::SchemaPruning.name());
+        let stage = probe.stage(Stage::SchemaPruning);
         let mut recall_noise = 0.0;
         let mut recall_covered = true;
         let pruned = if self.cfg.use_pruning {
@@ -365,44 +354,31 @@ impl Purple {
         let schema_text = pruned.to_text(&db.schema);
         let prune_quality = pruned.quality(&db.schema);
         let schema_cols: usize = db.schema.tables.iter().map(|t| t.columns.len()).sum();
-        span.finish(schema_cols as u64);
-        tfinish(tspan, schema_cols as u64);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::SchemaPruning.name(),
-                "pruned",
-                &[
-                    ("cols", EventValue::U64(schema_cols as u64)),
-                    ("quality", EventValue::F64(prune_quality)),
-                    ("recall_covered", EventValue::Bool(recall_covered)),
-                ],
-            );
-        }
+        stage.finish_with(
+            schema_cols as u64,
+            "pruned",
+            &[
+                ("cols", EventValue::U64(schema_cols as u64)),
+                ("quality", EventValue::F64(prune_quality)),
+                ("recall_covered", EventValue::Bool(recall_covered)),
+            ],
+        );
 
         // --- Step 2: skeleton prediction ------------------------------------
-        let span = reg.span(Stage::SkeletonPrediction);
-        let tspan = tstart(Stage::SkeletonPrediction.name());
+        let stage = probe.stage(Stage::SkeletonPrediction);
         let predictions = self.predictions(ex, db);
-        span.finish(predictions.len() as u64);
-        tfinish(tspan, predictions.len() as u64);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::SkeletonPrediction.name(),
-                "predicted",
-                &[
-                    ("beam", EventValue::U64(predictions.len() as u64)),
-                    (
-                        "top_prob",
-                        EventValue::F64(predictions.first().map_or(0.0, |p| p.probability)),
-                    ),
-                ],
-            );
-        }
+        stage.finish_with(
+            predictions.len() as u64,
+            "predicted",
+            &[
+                ("beam", EventValue::U64(predictions.len() as u64)),
+                ("top_prob", EventValue::F64(predictions.first().map_or(0.0, |p| p.probability))),
+            ],
+        );
 
         // --- Step 3: demonstration selection --------------------------------
-        let span = reg.span(Stage::DemoSelection);
-        let tspan = tstart(Stage::DemoSelection.name());
-        reg.set_gauge(Gauge::PoolSize, self.pool.len() as u64);
+        let stage = probe.stage(Stage::DemoSelection);
+        probe.metrics().set_gauge(Gauge::PoolSize, self.pool.len() as u64);
         let mut selected = if matches!(self.cfg.demo_mode, DemoMode::Generate) {
             Vec::new()
         } else if self.cfg.use_selection {
@@ -419,25 +395,20 @@ impl Purple {
         if !matches!(self.cfg.demo_mode, DemoMode::Generate) {
             random_fill(&mut selected, self.pool.len(), self.cfg.demo_target, &mut rng);
         }
-        span.finish(self.pool.len() as u64);
-        tfinish(tspan, self.pool.len() as u64);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::DemoSelection.name(),
-                "selected",
-                &[
-                    ("selected", EventValue::U64(selected.len() as u64)),
-                    ("pool", EventValue::U64(self.pool.len() as u64)),
-                ],
-            );
-        }
+        stage.finish_with(
+            self.pool.len() as u64,
+            "selected",
+            &[
+                ("selected", EventValue::U64(selected.len() as u64)),
+                ("pool", EventValue::U64(self.pool.len() as u64)),
+            ],
+        );
 
         // --- Step 4: prompt + LLM call ---------------------------------------
         // Without the pruning module, demonstrations ship their full schemas too
         // (§III-A prunes demo schemas with the same module), consuming budget that
         // would otherwise carry more composition knowledge.
-        let span = reg.span(Stage::PromptAssembly);
-        let tspan = tstart(Stage::PromptAssembly.name());
+        let stage = probe.stage(Stage::PromptAssembly);
         let mut demonstrations: Vec<Demonstration> = Vec::new();
         if matches!(self.cfg.demo_mode, DemoMode::Generate | DemoMode::Hybrid) {
             // §VII future work: synthesize demonstrations exhibiting each predicted
@@ -470,47 +441,34 @@ impl Purple {
         };
         let fit = prompt.fit_to_budget(self.cfg.len_budget);
         let demos_in_prompt = prompt.demonstrations.len();
-        reg.set_gauge(Gauge::DemosInPrompt, demos_in_prompt as u64);
-        span.finish(fit.tokens);
-        tfinish(tspan, fit.tokens);
-        if let Some(rec) = &rec {
-            rec.emit(
-                Stage::PromptAssembly.name(),
-                "assembled",
-                &[
-                    ("demos_in_prompt", EventValue::U64(demos_in_prompt as u64)),
-                    ("dropped_by_budget", EventValue::U64(fit.dropped as u64)),
-                    ("prompt_tokens", EventValue::U64(fit.tokens)),
-                ],
-            );
-        }
-        let n = self.cfg.num_consistency;
-        let mut request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
+        probe.metrics().set_gauge(Gauge::DemosInPrompt, demos_in_prompt as u64);
+        stage.finish_with(
+            fit.tokens,
+            "assembled",
+            &[
+                ("demos_in_prompt", EventValue::U64(demos_in_prompt as u64)),
+                ("dropped_by_budget", EventValue::U64(fit.dropped as u64)),
+                ("prompt_tokens", EventValue::U64(fit.tokens)),
+            ],
+        );
+        let request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
             .linking_noise(ex.linking_noise + recall_noise)
             .prune_quality(prune_quality)
             .instruction_quality(0.3)
-            .n(n)
-            .seed(seed)
-            .metrics(&reg);
-        if let Some(rec) = &rec {
-            request = request.events(rec);
-        }
-        if let Some(tracer) = job.tracer {
-            request = request.tracer(tracer);
-        }
-        let response = self.service.complete(&request);
+            .n(self.cfg.num_consistency)
+            .seed(seed);
+        let response = self.service.complete(&request, &probe);
 
         // --- Step 5: database adaption + consistency -------------------------
         // The "-Database Adaption" ablation removes the repair loop but keeps the
         // plain execution-consistency vote (§IV-D2 is shared with C3/DAIL-SQL).
         let session = self.env.session_or_disabled();
-        let sdb = session.bind(db).with_tracer(job.tracer);
+        let sdb = session.bind(db).with_tracer(probe.tracer());
         let (sql, fixes, adapted) = if self.cfg.use_adaption {
-            let v =
-                consistency_vote_with(&response.samples, &sdb, &mut rng, Some(&reg), rec.as_ref());
+            let v = consistency_vote_with(&response.samples, &sdb, &mut rng, &probe);
             (v.sql, v.fixes.iter().map(|f| f.to_string()).collect(), v.adapted)
         } else {
-            let sql = raw_vote_with(&response.samples, &sdb, Some(&reg), rec.as_ref());
+            let sql = raw_vote_with(&response.samples, &sdb, &probe);
             (sql, Vec::new(), response.samples.clone())
         };
         let translation = Translation {
@@ -534,13 +492,7 @@ impl Purple {
             prompt_tokens: response.prompt_tokens,
             output_tokens: response.output_tokens,
         });
-        let metrics = reg.snapshot();
-        if let Some(shared) = &self.env.metrics {
-            shared.absorb(&metrics);
-        }
-        if let (Some(sink), Some(rec)) = (events, rec) {
-            sink.publish(rec);
-        }
+        let metrics = self.env.publish(probe);
         RunOutcome { translation, trace, metrics }
     }
 
@@ -679,6 +631,32 @@ mod tests {
         // Virtual clock: latency equals declared work, identical across runs.
         assert_eq!(m.clock, Clock::Virtual);
         assert_eq!(traced.metrics, *m);
+
+        // With a tracer and an event sink attached, each stage close writes
+        // every view: per stage, one span per registry call, and the spans'
+        // own virtual time (less their exec children) is the registry's sum.
+        let tracer = obs::TraceRecorder::new(0);
+        let sink = obs::EventSink::default();
+        let job = Job::new(0, ex, db).with_tracer(Some(&tracer)).with_events(Some(&sink));
+        let observed = purple.run(job);
+        assert_eq!(observed.translation.sql, plain.translation.sql);
+        assert_eq!(observed.metrics, *m, "observing a run changes what it records");
+        assert!(!sink.drain().events.is_empty());
+        let (_, spans, dropped) = tracer.into_spans();
+        assert_eq!(dropped, 0);
+        for stage in obs::Stage::REPORT {
+            let of_stage: Vec<_> = spans.iter().filter(|s| s.name == stage.name()).collect();
+            let own: u64 = of_stage
+                .iter()
+                .map(|s| {
+                    let children = spans.iter().filter(|c| c.parent == Some(s.id));
+                    s.virt() - children.map(|c| c.virt()).sum::<u64>()
+                })
+                .sum();
+            let recorded = m.stage(stage);
+            assert_eq!(of_stage.len() as u64, recorded.calls, "{} span count", stage.name());
+            assert_eq!(own, recorded.latency.sum, "{} own virtual time", stage.name());
+        }
     }
 
     #[test]
@@ -735,7 +713,7 @@ mod tests {
     #[test]
     fn shared_registry_absorbs_per_run_snapshots() {
         let (suite, purple) = small_purple();
-        let shared = MetricsRegistry::shared(Clock::Virtual);
+        let shared = obs::MetricsRegistry::shared(Clock::Virtual);
         let purple = purple
             .with_config(purple.cfg.clone())
             .with_env(RunEnv::default().with_metrics(shared.clone()));

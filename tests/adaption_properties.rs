@@ -97,7 +97,7 @@ fn consistency_vote_is_order_insensitive_for_clean_samples() {
         // Identical clean samples in any order vote to the same SQL.
         let samples = vec![sql.clone(), sql.clone(), sql.clone()];
         let mut rng = StdRng::seed_from_u64(input);
-        let v = purple::consistency_vote(&samples, db, &mut rng, None, None);
+        let v = purple::consistency_vote(&samples, db, &mut rng, &obs::Probe::detached());
         let case = format!("seed {seed}, case {input}: `{sql}`");
         assert!(v.executable, "{case}");
         assert_eq!(v.sql, sql, "{case}");
