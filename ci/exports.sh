@@ -26,7 +26,8 @@
 #   diff -r out-parent out-change
 #
 # Both runs start in a temporary directory, so neither writes into the caller's
-# working tree.
+# working tree. The commands' stderr goes to a log that is printed if the
+# script fails.
 set -euo pipefail
 
 bin=$(cd "${1:?usage: ci/exports.sh BIN_DIR OUT_DIR}" && pwd)
@@ -34,10 +35,12 @@ out=${2:?usage: ci/exports.sh BIN_DIR OUT_DIR}
 mkdir "$out"
 out=$(cd "$out" && pwd)
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+log="$work/stderr.log"
+: > "$log"
+trap 'status=$?; [ "$status" -eq 0 ] || cat "$log" >&2; rm -rf "$work"' EXIT
 cd "$work"
 
-repro() { "$bin/repro" "$@" 2>/dev/null; }
+repro() { "$bin/repro" "$@" 2>>"$log"; }
 
 repro --scale tiny --all --jobs 2 > "$out/all.txt"
 repro --scale medium --jobs 2 --metrics "$out/metrics.json" > /dev/null
@@ -48,7 +51,7 @@ repro --scale tiny --dml --jobs 2 --metrics "$out/dml.json" > "$out/dml.txt"
 "$bin/purple-serve" --load-gen 200 --soak 10 --rate 24 --tick-ms 1000 --scale tiny \
     --seed 42 --workers 4 --trace-out "$out/serve-trace.json" \
     --bench-out "$work/serve-bench.json" --timeline "$work/timeline.ldjson" \
-    > /dev/null 2>&1
+    > /dev/null 2>>"$log"
 sed 's/,"completed":.*//' "$work/timeline.ldjson" > "$out/serve-timeline.txt"
 python3 - "$work/serve-bench.json" > "$out/serve-bench.json" <<'EOF'
 import json, sys

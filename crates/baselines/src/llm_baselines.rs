@@ -316,7 +316,7 @@ impl Translator for LlmBaseline {
             prompt_tokens: response.prompt_tokens,
             output_tokens: response.output_tokens,
         };
-        RunOutcome { translation, metrics: self.env.publish(probe) }
+        RunOutcome { translation, metrics: probe.publish() }
     }
 }
 

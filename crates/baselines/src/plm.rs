@@ -179,7 +179,7 @@ impl Translator for PlmTranslator {
         reg.count(Counter::Samples, 1);
         reg.count(Counter::PromptTokens, translation.prompt_tokens);
         reg.count(Counter::OutputTokens, translation.output_tokens);
-        RunOutcome { translation, metrics: self.env.publish(probe) }
+        RunOutcome { translation, metrics: probe.publish() }
     }
 }
 

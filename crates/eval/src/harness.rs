@@ -32,8 +32,7 @@
 //! [`RunEnv`] is the companion bundle on the translator side: session, ledger,
 //! metrics, and events in one cloneable value, attached via `with_env` instead
 //! of four builder setters, so a worker pool can share one environment. It
-//! also opens and closes each run's [`obs::Probe`] ([`RunEnv::probe`],
-//! [`RunEnv::publish`]).
+//! also opens each run's [`obs::Probe`] ([`RunEnv::probe`]).
 
 use crate::attribution::AttributionReport;
 use crate::metrics::{em_match_str, ex_match_str_with};
@@ -185,17 +184,12 @@ impl RunEnv {
     }
 
     /// Open the probe one run of `job` records into: a private registry on
-    /// `clock`, an event recorder when the job or this environment has a sink
-    /// (the job's wins), and the job's tracer.
+    /// `clock` that [`Probe::publish`] absorbs into this environment's shared
+    /// registry (if attached), an event recorder when the job or this
+    /// environment has a sink (the job's wins), and the job's tracer.
     pub fn probe<'a>(&'a self, job: &Job<'a>, clock: Clock) -> Probe<'a> {
-        Probe::new(clock, job.idx, job.events.or(self.events.as_deref()), job.tracer)
-    }
-
-    /// Close a run's probe: absorb its snapshot into the shared registry (if
-    /// attached) in one step, publish its events as one batch, and return the
-    /// snapshot for [`RunOutcome::metrics`].
-    pub fn publish(&self, probe: Probe<'_>) -> StageMetrics {
-        probe.publish(self.metrics.as_deref())
+        let events = job.events.or(self.events.as_deref());
+        Probe::new(clock, job.idx, self.metrics.as_deref(), events, job.tracer)
     }
 }
 
@@ -337,7 +331,7 @@ impl RunOutcome {
 /// `PlmTranslator` all do). Each `run` opens one probe with
 /// [`RunEnv::probe`], opens and closes each stage on it once (the probe
 /// writes the registry, the event and the trace span together), and closes
-/// it with [`RunEnv::publish`], which publishes the finished snapshot and
+/// it with [`obs::Probe::publish`], which publishes the finished snapshot and
 /// event batch in one step each, so concurrent runs never interleave partial
 /// metrics or events.
 pub trait Translator {

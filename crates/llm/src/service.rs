@@ -472,7 +472,7 @@ mod tests {
         let resp = svc.complete(&req, &probe);
         assert_eq!(resp.support_level, None);
         assert_eq!(resp.prompt_tokens, CONTEXT_LIMIT);
-        let snap = probe.publish(None);
+        let snap = probe.publish();
         assert_eq!(snap.counter(obs::Counter::ContextOverflows), 1);
         assert_eq!(snap.counter(obs::Counter::LlmCalls), 1);
         assert_eq!(snap.counter(obs::Counter::PromptTokens), resp.prompt_tokens);
@@ -496,10 +496,10 @@ mod tests {
         };
         let svc = LlmService::new(CHATGPT);
         let sink = obs::EventSink::bounded(4, 16);
-        let probe = obs::Probe::new(obs::Clock::Virtual, 3, Some(&sink), None);
+        let probe = obs::Probe::new(obs::Clock::Virtual, 3, None, Some(&sink), None);
         let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(4).seed(7);
         let resp = svc.complete(&req, &probe);
-        probe.publish(None);
+        probe.publish();
         let drained = sink.drain();
         assert_eq!(drained.events.len(), 1);
         let e = &drained.events[0];

@@ -320,6 +320,11 @@ mod tests {
         for _ in 0..5 {
             rec.emit("s", "k", &[]);
         }
+        {
+            // The recorder caps at record time, before the sink re-caps.
+            let s = lock(&rec.inner);
+            assert_eq!((s.events.len(), s.dropped), (2, 3));
+        }
         let sink = EventSink::bounded(8, 2);
         sink.publish(rec);
         let d = sink.drain();

@@ -8,10 +8,10 @@
 //! ```
 //! use obs::{Clock, EventValue, Probe, Stage};
 //!
-//! let probe = Probe::new(Clock::Virtual, 0, None, None);
+//! let probe = Probe::new(Clock::Virtual, 0, None, None, None);
 //! let stage = probe.stage(Stage::SchemaPruning);
 //! stage.finish_with(18, "pruned", &[("cols", EventValue::U64(18))]);
-//! assert_eq!(probe.publish(None).stage(Stage::SchemaPruning).latency.sum, 18);
+//! assert_eq!(probe.publish().stage(Stage::SchemaPruning).latency.sum, 18);
 //! ```
 //!
 //! Closing a stage writes all three views at once: the registry observes the
@@ -30,31 +30,36 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct Probe<'a> {
     metrics: MetricsRegistry,
+    shared: Option<&'a MetricsRegistry>,
     events: Option<(&'a EventSink, EventRecorder)>,
     tracer: Option<&'a TraceRecorder>,
 }
 
 impl<'a> Probe<'a> {
     /// A probe for the example at `example_idx`: a private registry on
-    /// `clock`, a recorder capped by `events`' policy (published there by
-    /// [`Probe::publish`]), and spans recorded into `tracer`.
+    /// `clock` (absorbed into `shared` by [`Probe::publish`]), a recorder
+    /// capped by `events`' policy (published there too), and spans recorded
+    /// into `tracer`.
     pub fn new(
         clock: Clock,
         example_idx: usize,
+        shared: Option<&'a MetricsRegistry>,
         events: Option<&'a EventSink>,
         tracer: Option<&'a TraceRecorder>,
     ) -> Self {
         Probe {
             metrics: MetricsRegistry::new(clock),
+            shared,
             events: events.map(|sink| (sink, sink.recorder(example_idx))),
             tracer,
         }
     }
 
-    /// A probe with no sink and no tracer, for callers that only want the
-    /// work done: its registry is dropped with it unless they publish it.
+    /// A probe with no shared registry, sink or tracer, for callers that
+    /// only want the work done: what it records is dropped with it unless
+    /// they publish it.
     pub fn detached() -> Probe<'static> {
-        Probe::new(Clock::Virtual, 0, None, None)
+        Probe::new(Clock::Virtual, 0, None, None, None)
     }
 
     /// The run's private registry, for counters, gauges and fixer tallies.
@@ -87,12 +92,12 @@ impl<'a> Probe<'a> {
         }
     }
 
-    /// Close the run: absorb the registry snapshot into `shared` (when
-    /// given) in one step, publish the events as one batch, and return the
-    /// snapshot. The tracer stays with its owner, who publishes the tree.
-    pub fn publish(self, shared: Option<&MetricsRegistry>) -> StageMetrics {
+    /// Close the run: absorb the registry snapshot into the shared registry
+    /// (when given) in one step, publish the events as one batch, and return
+    /// the snapshot. The tracer stays with its owner, who publishes the tree.
+    pub fn publish(self) -> StageMetrics {
         let metrics = self.metrics.snapshot();
-        if let Some(shared) = shared {
+        if let Some(shared) = self.shared {
             shared.absorb(&metrics);
         }
         if let Some((sink, rec)) = self.events {
@@ -139,16 +144,18 @@ mod tests {
 
     #[test]
     fn virtual_stages_record_declared_work_in_every_view() {
+        let shared = MetricsRegistry::new(Clock::Virtual);
         let sink = EventSink::bounded(4, 8);
         let tracer = TraceRecorder::new(3);
-        let probe = Probe::new(Clock::Virtual, 3, Some(&sink), Some(&tracer));
+        let probe = Probe::new(Clock::Virtual, 3, Some(&shared), Some(&sink), Some(&tracer));
         probe.stage(Stage::SchemaPruning).finish_with(42, "pruned", &[]);
         let adapt = probe.stage(Stage::Adaption);
         tracer.leaf(crate::trace::EXEC_SPAN, 5);
         probe.emit(Stage::Adaption, "repair", &[("sample", EventValue::U64(0))]);
         adapt.finish(8);
-        let snap = probe.publish(None);
+        let snap = probe.publish();
 
+        assert_eq!(shared.snapshot(), snap);
         assert_eq!(snap.stage(Stage::SchemaPruning).calls, 1);
         assert_eq!(snap.stage(Stage::SchemaPruning).latency.sum, 42);
         assert_eq!(snap.stage(Stage::Adaption).latency.sum, 8);
@@ -161,7 +168,7 @@ mod tests {
 
     #[test]
     fn wall_stages_record_elapsed_nanos() {
-        let probe = Probe::new(Clock::Wall, 0, None, None);
+        let probe = Probe::new(Clock::Wall, 0, None, None, None);
         let stage = probe.stage(Stage::LlmCall);
         std::thread::sleep(std::time::Duration::from_millis(1));
         stage.finish(7); // the declared work is ignored under Wall

@@ -1033,10 +1033,10 @@ mod tests {
             "SELECT country FROM tv_channel".to_string(),
         ];
         let sink = obs::EventSink::bounded(1, 16);
-        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        let probe = Probe::new(obs::Clock::Virtual, 0, None, Some(&sink), None);
         let v = consistency_vote(&samples, &d, &mut rng, &probe);
         assert!(v.executable);
-        probe.publish(None);
+        probe.publish();
         let events = sink.drain().events;
         let repair = events
             .iter()
@@ -1050,9 +1050,9 @@ mod tests {
         let voted = events.iter().find(|e| e.kind == "voted").expect("tally emits voted");
         assert_eq!(voted.stage, "consistency-vote");
 
-        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        let probe = Probe::new(obs::Clock::Virtual, 0, None, Some(&sink), None);
         raw_vote(&samples, &d, &probe);
-        probe.publish(None);
+        probe.publish();
         assert_eq!(sink.drain().events.len(), 1, "raw vote emits exactly one event");
     }
 
@@ -1113,12 +1113,12 @@ mod tests {
                 .to_string(),
         ];
         let sink = obs::EventSink::bounded(1, 16);
-        let probe = Probe::new(obs::Clock::Virtual, 0, Some(&sink), None);
+        let probe = Probe::new(obs::Clock::Virtual, 0, None, Some(&sink), None);
         let cached = write_vote(&samples, &d, &ExecSession::shared(), &probe);
         let uncached = write_vote(&samples, &d, &ExecSession::disabled(), &Probe::detached());
         assert_eq!(cached.sql, uncached.sql, "cache modes agree on the winner");
         assert!(cached.executable);
-        let snap = probe.publish(None);
+        let snap = probe.publish();
         assert_eq!(snap.counter(Counter::Samples), 2);
         assert_eq!(sink.drain().events.len(), 1, "write vote emits exactly one voted event");
     }

@@ -492,7 +492,7 @@ impl Purple {
             prompt_tokens: response.prompt_tokens,
             output_tokens: response.output_tokens,
         });
-        let metrics = self.env.publish(probe);
+        let metrics = probe.publish();
         RunOutcome { translation, trace, metrics }
     }
 
