@@ -22,16 +22,16 @@ pub struct SharedModels {
     /// The trained skeleton predictor.
     pub predictor: Arc<SkeletonPredictor>,
     /// The prompt-ready demonstration pool.
-    pub pool: Arc<Vec<Demonstration>>,
+    pub pool: Arc<[Arc<Demonstration>]>,
 }
 
 impl SharedModels {
-    /// Borrow the trained models from a PURPLE instance.
+    /// Borrow the trained models from a PURPLE instance, sharing its pool.
     pub fn from_purple(p: &purple::Purple) -> Self {
         SharedModels {
             classifier: Arc::new(p.classifier().clone()),
             predictor: Arc::new(p.predictor().clone()),
-            pool: Arc::new(p.pool().to_vec()),
+            pool: p.pool().clone(),
         }
     }
 }
@@ -126,9 +126,9 @@ impl LlmBaseline {
             .enumerate()
             .map(|(i, d)| {
                 let d_tokens: BTreeSet<String> =
-                    nlmodel::features::tokenize_nl(&d.nl).into_iter().collect();
+                    nlmodel::features::tokenize_nl(d.nl()).into_iter().collect();
                 let d_kw: BTreeSet<sqlkit::SkelTok> =
-                    d.skeleton.at_level(Level::Keywords).into_iter().collect();
+                    d.skeleton().at_level(Level::Keywords).into_iter().collect();
                 // DAIL leans on the predicted-SQL keyword set (order-free — the
                 // §IV-C1 weakness) with masked-question similarity as secondary;
                 // a wrong preliminary prediction poisons the retrieval.
@@ -201,16 +201,14 @@ impl Translator for LlmBaseline {
                 ),
                 Strategy::FewShot => {
                     let idx = fixed_demo_indices(self.models.pool.len(), 8, 7);
-                    let demos: Vec<Demonstration> =
-                        idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
+                    let demos = idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
                     ("Answer like the examples.".to_string(), demos, 0.0, false, 1, 0, false)
                 }
                 Strategy::DinSql => {
                     // DIN-SQL ships a fixed, hand-curated CoT prompt (~10k tokens
                     // with GPT-4): fixed demos + huge reasoning output.
                     let idx = fixed_demo_indices(self.models.pool.len(), 16, 11);
-                    let demos: Vec<Demonstration> =
-                        idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
+                    let demos = idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
                     (
                         "Decompose the question, classify its complexity, draft \
                          intermediate representation, then write the SQL."
@@ -225,8 +223,7 @@ impl Translator for LlmBaseline {
                 }
                 Strategy::DailSql => {
                     let idx = self.dail_select(ex, db, 16);
-                    let demos: Vec<Demonstration> =
-                        idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
+                    let demos = idx.into_iter().map(|i| self.models.pool[i].clone()).collect();
                     ("Answer like the examples.".to_string(), demos, 0.2, false, 8, 0, true)
                 }
             };
@@ -259,8 +256,13 @@ impl Translator for LlmBaseline {
         );
 
         let stage = probe.stage(Stage::PromptAssembly);
-        let mut prompt =
-            Prompt { instruction, demonstrations: demos, schema_text, nl: ex.nl.clone() };
+        let mut prompt = Prompt {
+            instruction,
+            demonstrations: demos,
+            full_schemas: false,
+            schema_text,
+            nl: ex.nl.clone(),
+        };
         // Baselines fit to the raw context limit; DAIL-SQL controls to ~3k.
         let budget = match self.strategy {
             Strategy::DailSql => 3000,
@@ -277,7 +279,9 @@ impl Translator for LlmBaseline {
             ],
         );
 
-        let request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
+        let session = self.env.session_or_disabled();
+        let untraced = session.bind(db);
+        let request = GenerationRequest::for_prompt(&prompt, &ex.query, untraced)
             .linking_noise(ex.linking_noise)
             .prune_quality(prune_quality)
             .instruction_quality(instruction_quality)
@@ -288,8 +292,7 @@ impl Translator for LlmBaseline {
         let response = self.service.complete(&request, &probe);
 
         // DIN-SQL self-corrects (its final module); C3/DAIL vote; the rest emit raw.
-        let session = self.env.session_or_disabled();
-        let sdb = session.bind(db).with_tracer(probe.tracer());
+        let sdb = untraced.with_tracer(probe.tracer());
         let sql = match self.strategy {
             Strategy::DinSql => {
                 let stage = probe.stage(Stage::Adaption);

@@ -93,6 +93,8 @@ pub struct PlmTranslator {
     /// run local inference, so only the metrics registry and default event
     /// sink apply — the session and ledger are accepted but unused.
     env: RunEnv,
+    /// Stage clock, adopted from the attached registry.
+    clock: Clock,
 }
 
 impl PlmTranslator {
@@ -109,14 +111,17 @@ impl PlmTranslator {
             equivalent_bias: 0.45,
             ..CHATGPT
         };
-        PlmTranslator { cfg, predictor, profile, env: RunEnv::default() }
+        PlmTranslator { cfg, predictor, profile, env: RunEnv::default(), clock: Clock::default() }
     }
 
     /// Attach a shared run environment, builder-style (same convention as
     /// [`purple::Purple::with_env`]): per-run metric snapshots are absorbed
-    /// into `env.metrics`, and `env.events` is the default sink for jobs
-    /// without their own.
+    /// into `env.metrics` (whose clock is adopted), and `env.events` is the
+    /// default sink for jobs without their own.
     pub fn with_env(mut self, env: RunEnv) -> Self {
+        if let Some(metrics) = &env.metrics {
+            self.clock = metrics.clock();
+        }
         self.env = env;
         self
     }
@@ -134,7 +139,7 @@ impl Translator for PlmTranslator {
             0x9d2c5680u64.wrapping_mul(job.idx as u64 + 1).wrapping_add(self.cfg.name.len() as u64)
         });
         let mut rng = StdRng::seed_from_u64(seed);
-        let probe = self.env.probe(&job, Clock::Virtual);
+        let probe = self.env.probe(&job, self.clock);
 
         let stage = probe.stage(Stage::SkeletonPrediction);
         let gold_skel = Skeleton::from_query(&ex.query);
@@ -205,6 +210,21 @@ mod tests {
             r.overall.em_pct(),
             rp.overall.em_pct()
         );
+    }
+
+    #[test]
+    fn runs_on_the_clock_of_the_attached_registry() {
+        let suite = generate_suite(&GenConfig::tiny(68));
+        let predictor = Arc::new(SkeletonPredictor::train(&suite.train));
+        let ex = &suite.dev.examples[0];
+        let job = Job::new(0, ex, suite.dev.db_of(ex));
+        let plain = PlmTranslator::new(PICARD, predictor.clone());
+        assert_eq!(plain.run(job).metrics.clock, Clock::Virtual);
+        let registry = obs::MetricsRegistry::shared(Clock::Wall);
+        let wall = PlmTranslator::new(PICARD, predictor)
+            .with_env(RunEnv { metrics: Some(registry.clone()), ..RunEnv::default() });
+        assert_eq!(wall.run(job).metrics.clock, Clock::Wall);
+        assert_eq!(registry.snapshot().clock, Clock::Wall);
     }
 
     #[test]

@@ -647,18 +647,18 @@ pub fn support_stats(ctx: &ReproContext) -> Vec<(String, [usize; 5])> {
         );
         purple::random_fill(&mut sel, pool.len(), 24, &mut rng);
         sel.truncate(24);
-        let skels: Vec<&Skeleton> = sel.iter().map(|i| &pool[*i].skeleton).collect();
+        let skels: Vec<&Skeleton> = sel.iter().map(|i| pool[*i].skeleton()).collect();
         bump(&mut purple_hist, LlmService::support_level(&required, &skels));
 
         // DAIL: keyword/NL Jaccard (reproduce the baseline's ranking).
         let dail_sel = dail_like_selection(ctx, ex, db, 16);
-        let skels: Vec<&Skeleton> = dail_sel.iter().map(|i| &pool[*i].skeleton).collect();
+        let skels: Vec<&Skeleton> = dail_sel.iter().map(|i| pool[*i].skeleton()).collect();
         bump(&mut dail_hist, LlmService::support_level(&required, &skels));
 
         // Random 24.
         let mut r: Vec<usize> = Vec::new();
         purple::random_fill(&mut r, pool.len(), 24, &mut rng);
-        let skels: Vec<&Skeleton> = r.iter().map(|i| &pool[*i].skeleton).collect();
+        let skels: Vec<&Skeleton> = r.iter().map(|i| pool[*i].skeleton()).collect();
         bump(&mut random_hist, LlmService::support_level(&required, &skels));
     }
     vec![
@@ -703,9 +703,9 @@ fn dail_like_selection(
         .enumerate()
         .map(|(i, d)| {
             let d_tokens: BTreeSet<String> =
-                nlmodel::features::tokenize_nl(&d.nl).into_iter().collect();
+                nlmodel::features::tokenize_nl(d.nl()).into_iter().collect();
             let d_kw: BTreeSet<String> =
-                d.skeleton.at_level(Level::Keywords).into_iter().map(|t| t.to_string()).collect();
+                d.skeleton().at_level(Level::Keywords).into_iter().map(|t| t.to_string()).collect();
             (i, 0.3 * jaccard(&q_tokens, &d_tokens) + 0.7 * jaccard(&pred_kw, &d_kw))
         })
         .collect();
@@ -731,7 +731,7 @@ pub fn rewrite_stats(ctx: &ReproContext) -> (f64, f64, f64) {
             continue;
         };
         for _ in 0..8 {
-            let Some(m) = near_miss(&ex.query, db, 0.72, &mut rng) else {
+            let Some(m) = near_miss(&ex.query, &sdb, 0.72, &mut rng) else {
                 continue;
             };
             total += 1;

@@ -2,7 +2,7 @@
 
 use crate::dialect::Dialect;
 use crate::value::Value;
-use sqlkit::Schema;
+use sqlkit::{ColumnId, Schema};
 use std::sync::OnceLock;
 
 /// A row of values, one per column of the owning table.
@@ -21,13 +21,21 @@ pub struct Database {
     /// code that mutates the pub fields directly must call
     /// [`Self::invalidate_fingerprint`] before the next fingerprint read.
     fp_cache: OnceLock<u128>,
+    /// Memoized [`Self::lexicon`], invalidated with the fingerprint.
+    lexicon: OnceLock<Lexicon>,
 }
 
 impl Database {
     /// An empty database over the given schema (SQLite dialect).
     pub fn empty(schema: Schema) -> Self {
         let rows = vec![Vec::new(); schema.tables.len()];
-        Database { schema, rows, dialect: Dialect::sqlite(), fp_cache: OnceLock::new() }
+        Database {
+            schema,
+            rows,
+            dialect: Dialect::sqlite(),
+            fp_cache: OnceLock::new(),
+            lexicon: OnceLock::new(),
+        }
     }
 
     /// Switch the database's dialect (builder style).
@@ -37,11 +45,13 @@ impl Database {
         self
     }
 
-    /// Drop the memoized fingerprint so the next [`Self::fingerprint`] call
-    /// re-hashes content. Called by every mutating method on this type; callers
-    /// that write through the pub fields directly must call it themselves.
+    /// Drop the memoized fingerprint and lexicon so the next
+    /// [`Self::fingerprint`] or [`Self::lexicon`] call recomputes them from
+    /// content. Called by every mutating method on this type; callers that
+    /// write through the pub fields directly must call it themselves.
     pub fn invalidate_fingerprint(&mut self) {
         self.fp_cache = OnceLock::new();
+        self.lexicon = OnceLock::new();
     }
 
     /// Append a row to a table by index. Panics if the arity differs from the table
@@ -143,6 +153,99 @@ impl Database {
             }
         }
         seen
+    }
+
+    /// The lowercased text that questions are matched against: every display
+    /// name with its words, and the sample values of every column. Built on
+    /// first use and memoized like [`Self::fingerprint`], so a database pays
+    /// for it once however many questions are scored against it.
+    pub fn lexicon(&self) -> &Lexicon {
+        self.lexicon.get_or_init(|| Lexicon::build(self))
+    }
+}
+
+/// Distinct values per column that a [`Lexicon`] samples.
+const LEXICON_VALUES: usize = 24;
+
+/// A display name as questions are matched against it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LexName {
+    /// The name, ASCII-lowercased.
+    pub lower: String,
+    /// `lower` split on whitespace.
+    pub words: Vec<String>,
+}
+
+impl LexName {
+    /// The matching form of a display name.
+    pub fn new(display: &str) -> Self {
+        let lower = display.to_ascii_lowercase();
+        let words = lower.split_whitespace().map(str::to_string).collect();
+        LexName { lower, words }
+    }
+}
+
+/// A column as questions are matched against it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LexColumn {
+    /// The column's display name.
+    pub name: LexName,
+    /// The ASCII-lowercased texts of the column's first 24 distinct non-null
+    /// values ([`Database::sample_values`]) that are 2 bytes or longer,
+    /// concatenated in row order.
+    values: String,
+    /// End offset in `values` of each text.
+    ends: Vec<usize>,
+}
+
+impl LexColumn {
+    /// The sampled value texts, in row order.
+    pub fn values(&self) -> impl Iterator<Item = &str> {
+        self.ends.iter().scan(0, |start, &end| {
+            let text = &self.values[*start..end];
+            *start = end;
+            Some(text)
+        })
+    }
+}
+
+/// The lowercased text of one database that questions are matched against
+/// ([`Database::lexicon`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lexicon {
+    /// Table display names, in schema order.
+    pub tables: Vec<LexName>,
+    /// Columns per table, in schema order.
+    columns: Vec<Vec<LexColumn>>,
+}
+
+impl Lexicon {
+    fn build(db: &Database) -> Self {
+        let tables = db.schema.tables.iter().map(|t| LexName::new(&t.display)).collect();
+        let columns = (db.schema.tables.iter().enumerate())
+            .map(|(ti, t)| {
+                (t.columns.iter().enumerate())
+                    .map(|(ci, c)| {
+                        let (mut values, mut ends) = (String::new(), Vec::new());
+                        for v in db.sample_values(ti, ci, LEXICON_VALUES) {
+                            let text = v.to_string().to_ascii_lowercase();
+                            if text.len() >= 2 {
+                                values.push_str(&text);
+                                ends.push(values.len());
+                            }
+                        }
+                        values.shrink_to_fit();
+                        LexColumn { name: LexName::new(&c.display), values, ends }
+                    })
+                    .collect()
+            })
+            .collect();
+        Lexicon { tables, columns }
+    }
+
+    /// One column's entry.
+    pub fn column(&self, id: ColumnId) -> &LexColumn {
+        &self.columns[id.table][id.column]
     }
 }
 
@@ -248,5 +351,34 @@ mod tests {
         }
         assert_eq!(d.sample_values(0, 0, 3), vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
         assert!(d.sample_values(0, 1, 3).is_empty());
+    }
+
+    #[test]
+    fn lexicon_lowercases_samples_and_follows_mutation() {
+        let mut d = db();
+        d.schema.tables[0].display = "Tv Channel".into();
+        for (a, b) in [(1, "Alpha"), (22, "Alpha"), (1, "b"), (333, "Gamma  Ray")] {
+            d.insert(0, vec![Value::Int(a), Value::Text(b.into())]);
+        }
+        let lex = d.lexicon();
+        assert_eq!(
+            lex.tables,
+            [LexName { lower: "tv channel".into(), words: vec!["tv".into(), "channel".into()] }]
+        );
+        fn values(lex: &Lexicon, column: usize) -> Vec<&str> {
+            lex.column(ColumnId { table: 0, column }).values().collect()
+        }
+        // Distinct values in row order, texts shorter than 2 bytes dropped.
+        assert_eq!(values(lex, 0), ["22", "333"]);
+        assert_eq!(values(lex, 1), ["alpha", "gamma  ray"]);
+        d.insert(0, vec![Value::Int(4444), Value::Text("Delta".into())]);
+        assert_eq!(
+            values(d.lexicon(), 1),
+            ["alpha", "gamma  ray", "delta"],
+            "insert invalidates the memo"
+        );
+        d.rows[0].truncate(1);
+        d.invalidate_fingerprint();
+        assert_eq!(values(d.lexicon(), 1), ["alpha"]);
     }
 }

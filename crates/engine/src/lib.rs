@@ -37,7 +37,7 @@ pub mod session;
 pub mod value;
 
 pub use batch::ColumnTable;
-pub use database::{Database, Row};
+pub use database::{Database, LexColumn, LexName, Lexicon, Row};
 pub use dialect::{map_function, Dialect, ScalarFunc};
 pub use error::ExecError;
 pub use exec::{

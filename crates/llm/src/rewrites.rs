@@ -215,15 +215,19 @@ pub fn corrupting_rewrites(q: &Query) -> Vec<Query> {
 /// Pick a near-miss: an equivalence-preserving rewrite with probability
 /// `equivalent_bias` (falling back across families when one is empty), else a
 /// corrupting one. `None` when the query admits no rewrite at all.
+///
+/// The gold query and the equivalent rewrites execute through `db`'s
+/// session, so a shared session serves repeats from its caches; the choice
+/// and the draws from `rng` do not depend on the session.
 pub fn near_miss(
     q: &Query,
-    db: &engine::Database,
+    db: &engine::SessionDb<'_, '_>,
     equivalent_bias: f64,
     rng: &mut StdRng,
 ) -> Option<Query> {
     let mut eq = equivalent_rewrites(q);
     for _ in 0..3 {
-        eq.extend(add_redundant_join(q, db));
+        eq.extend(add_redundant_join(q, db.db()));
     }
     let bad = corrupting_rewrites(q);
     let use_eq = rng.random_bool(equivalent_bias);
@@ -235,14 +239,12 @@ pub fn near_miss(
         // admits one) with high probability; the residual mass covers the Fig.-1
         // de-duplication traps.
         if rng.random_bool(0.9) {
-            if let Ok(gold_rs) = engine::execute(db, q) {
+            if let Ok(gold_rs) = db.execute(q) {
                 let ordered = engine::order_matters(q);
                 let preserving: Vec<&Query> = eq
                     .iter()
                     .filter(|m| {
-                        engine::execute(db, m)
-                            .map(|rs| rs.same_result(&gold_rs, ordered))
-                            .unwrap_or(false)
+                        db.execute(m).map(|rs| rs.same_result(&gold_rs, ordered)).unwrap_or(false)
                     })
                     .collect();
                 if let Some(pick) = preserving.choose(rng) {
@@ -974,7 +976,8 @@ mod tests {
                 assert_ne!(r, &q, "rewrite of `{sql}` is identical");
             }
             // near_miss returns something for all these shapes.
-            assert!(near_miss(&q, &empty_db(), 0.5, &mut rng).is_some());
+            let (session, db) = (engine::ExecSession::new(0), empty_db());
+            assert!(near_miss(&q, &session.bind(&db), 0.5, &mut rng).is_some());
         }
     }
 
@@ -982,10 +985,10 @@ mod tests {
     fn near_miss_respects_bias_direction() {
         let q = parse(FIG1_GOLD).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let db = empty_db();
+        let (session, db) = (engine::ExecSession::new(0), empty_db());
         let mut eq_count = 0;
         for _ in 0..200 {
-            let m = near_miss(&q, &db, 0.9, &mut rng).unwrap();
+            let m = near_miss(&q, &session.bind(&db), 0.9, &mut rng).unwrap();
             if equivalent_rewrites(&q).contains(&m) {
                 eq_count += 1;
             }

@@ -19,7 +19,7 @@ use crate::prompt::Prompt;
 use crate::rewrites::near_miss;
 use crate::tokenizer::{count_tokens, CONTEXT_LIMIT};
 use crate::writer::{inject_hallucination, inject_linking_slip, inject_value_error};
-use engine::Database;
+use engine::SessionDb;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sqlkit::{hardness, Level, Query, Skeleton};
@@ -31,7 +31,7 @@ use sqlkit::{hardness, Level, Query, Skeleton};
 /// run's [`obs::Probe`], passed to [`LlmService::complete`] beside the request:
 ///
 /// ```ignore
-/// let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(10).seed(job_seed);
+/// let req = GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db)).n(10).seed(job_seed);
 /// let response = service.complete(&req, &probe);
 /// ```
 #[derive(Debug)]
@@ -40,8 +40,11 @@ pub struct GenerationRequest<'a> {
     pub prompt: &'a Prompt,
     /// The example's intent (gold query): the simulated NL-understanding channel.
     pub gold: &'a Query,
-    /// The database the SQL must target.
-    pub db: &'a Database,
+    /// The database the SQL must target, bound to the run's execution
+    /// session: the near-miss choice executes the gold query and its
+    /// rewrites through it. The service runs it untraced, so the llm-call
+    /// stage records no exec spans.
+    pub db: SessionDb<'a, 'a>,
     /// Extra schema-linking noise (variant splits; 0 for plain Spider).
     pub linking_noise: f64,
     /// How aggressively the prompt schema was pruned, in `[0, 1]`: 0 = full schema,
@@ -65,7 +68,7 @@ impl<'a> GenerationRequest<'a> {
     /// A request with the default knobs: no linking noise, unpruned schema, no
     /// instruction engineering, no CoT, one sample, seed 0, no extra output
     /// tokens.
-    pub fn for_prompt(prompt: &'a Prompt, gold: &'a Query, db: &'a Database) -> Self {
+    pub fn for_prompt(prompt: &'a Prompt, gold: &'a Query, db: SessionDb<'a, 'a>) -> Self {
         GenerationRequest {
             prompt,
             gold,
@@ -228,11 +231,11 @@ impl LlmService {
             + 8;
         let mut used = head;
         for d in &req.prompt.demonstrations {
-            used += d.token_len();
+            used += d.context_charge(req.prompt.full_schemas);
             if used > CONTEXT_LIMIT {
                 break;
             }
-            effective.push(&d.skeleton);
+            effective.push(d.skeleton());
         }
 
         let required = Skeleton::from_query(req.gold);
@@ -279,8 +282,10 @@ impl LlmService {
         } else {
             p.equivalent_bias
         };
+        let sdb = req.db.with_tracer(None);
+        let db = sdb.db();
         let wrong_template =
-            near_miss(req.gold, req.db, eq_bias, &mut rng).unwrap_or_else(|| req.gold.clone());
+            near_miss(req.gold, &sdb, eq_bias, &mut rng).unwrap_or_else(|| req.gold.clone());
         let q = req.prune_quality.clamp(0.0, 1.0);
         let link_factor = 1.0 - (1.0 - p.pruned_linking_factor) * q;
         let p_link = ((p.linking_error + req.linking_noise) * link_factor).min(0.9);
@@ -290,15 +295,15 @@ impl LlmService {
         let mut wrong_tmpl = wrong_template;
         if slip {
             let mut slip_rng = StdRng::seed_from_u64(req.seed ^ 0x51a9);
-            inject_linking_slip(&mut gold_tmpl, req.db, &mut slip_rng);
+            inject_linking_slip(&mut gold_tmpl, db, &mut slip_rng);
             let mut slip_rng = StdRng::seed_from_u64(req.seed ^ 0x51a9);
-            inject_linking_slip(&mut wrong_tmpl, req.db, &mut slip_rng);
+            inject_linking_slip(&mut wrong_tmpl, db, &mut slip_rng);
         }
         if value_err {
             let mut v_rng = StdRng::seed_from_u64(req.seed ^ 0x7a1e);
-            inject_value_error(&mut gold_tmpl, req.db, &mut v_rng);
+            inject_value_error(&mut gold_tmpl, db, &mut v_rng);
             let mut v_rng = StdRng::seed_from_u64(req.seed ^ 0x7a1e);
-            inject_value_error(&mut wrong_tmpl, req.db, &mut v_rng);
+            inject_value_error(&mut wrong_tmpl, db, &mut v_rng);
         }
         let p_h = p.halluc_rate * (1.0 - (1.0 - p.pruned_halluc_factor) * q);
         // Part of the hallucination mass is *systematic* — the model consistently
@@ -307,9 +312,9 @@ impl LlmService {
         // can (the Table-6 "-Database Adaption" deltas: EM -1.4, EX -3.0).
         if rng.random_bool(p_h * 0.28) {
             let mut h_rng = StdRng::seed_from_u64(req.seed ^ 0xa511);
-            inject_hallucination(&mut gold_tmpl, req.db, &mut h_rng);
+            inject_hallucination(&mut gold_tmpl, db, &mut h_rng);
             let mut h_rng = StdRng::seed_from_u64(req.seed ^ 0xa511);
-            inject_hallucination(&mut wrong_tmpl, req.db, &mut h_rng);
+            inject_hallucination(&mut wrong_tmpl, db, &mut h_rng);
         }
 
         // The model *commits* to a composition for this prompt (its belief about
@@ -321,15 +326,30 @@ impl LlmService {
         let committed_ok = rng.random_bool(prob);
         let mut samples = Vec::with_capacity(req.n);
         let mut output_tokens = req.extra_output_tokens;
+        // Each template is printed and counted at most once; only a sample
+        // that a hallucination changed is printed on its own.
+        let templates = [&gold_tmpl, &wrong_tmpl];
+        let mut rendered: [Option<(String, u64)>; 2] = [None, None];
+        let render = |q: &Query| {
+            let sql = q.to_string();
+            let tokens = count_tokens(&sql);
+            (sql, tokens)
+        };
         for _ in 0..req.n.max(1) {
             let flip = rng.random_bool(self.profile.temperature);
             let composition_ok = committed_ok ^ flip;
-            let mut q = if composition_ok { gold_tmpl.clone() } else { wrong_tmpl.clone() };
+            let t = usize::from(!composition_ok);
+            let mut hallucinated = None;
             if rng.random_bool(p_h * 0.65) {
-                inject_hallucination(&mut q, req.db, &mut rng);
+                let mut q = templates[t].clone();
+                inject_hallucination(&mut q, db, &mut rng);
+                hallucinated = (q != *templates[t]).then_some(q);
             }
-            let sql = q.to_string();
-            output_tokens += count_tokens(&sql) + 2;
+            let (sql, tokens) = match hallucinated {
+                Some(q) => render(&q),
+                None => rendered[t].get_or_insert_with(|| render(templates[t])).clone(),
+            };
+            output_tokens += tokens + 2;
             samples.push(sql);
         }
         if let Some(ledger) = &self.ledger {
@@ -369,7 +389,9 @@ mod tests {
     use super::*;
     use crate::profile::{CHATGPT, GPT4};
     use crate::prompt::Demonstration;
+    use engine::{Database, ExecSession};
     use sqlkit::parse;
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut s = sqlkit::Schema::new("d");
@@ -385,14 +407,14 @@ mod tests {
         Database::empty(s)
     }
 
-    fn demo_with_skeleton(sk: &str) -> Demonstration {
-        Demonstration {
-            schema_text: "create table x (a int)\n".into(),
-            full_schema_text: "create table x (a int)\n".into(),
-            nl: "q?".into(),
-            sql: "SELECT a FROM x".into(),
-            skeleton: Skeleton::parse(sk),
-        }
+    fn demo_with_skeleton(sk: &str) -> Arc<Demonstration> {
+        Arc::new(Demonstration::new(
+            "create table x (a int)\n".into(),
+            "create table x (a int)\n".into(),
+            "q?".into(),
+            "SELECT a FROM x".into(),
+            Skeleton::parse(sk),
+        ))
     }
 
     #[test]
@@ -442,10 +464,14 @@ mod tests {
             demonstrations: vec![demo_with_skeleton("SELECT _ FROM _ WHERE _ = _")],
             schema_text: "create table t (id int, name text)\n".into(),
             nl: "what is the name of t with id 1?".into(),
+            ..Default::default()
         };
         let svc = LlmService::new(CHATGPT);
-        let req =
-            GenerationRequest::for_prompt(&prompt, &gold, &db).prune_quality(1.0).n(5).seed(99);
+        let session = ExecSession::new(0);
+        let req = GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db))
+            .prune_quality(1.0)
+            .n(5)
+            .seed(99);
         let a = svc.complete(&req, &obs::Probe::detached());
         let b = svc.complete(&req, &obs::Probe::detached());
         assert_eq!(a.samples, b.samples);
@@ -465,10 +491,12 @@ mod tests {
             demonstrations: vec![demo_with_skeleton("SELECT _ FROM _ WHERE _ = _")],
             schema_text: "create table t (id int, name text)\n".into(),
             nl: "q?".into(),
+            ..Default::default()
         };
         let svc = LlmService::new(CHATGPT);
         let probe = obs::Probe::detached();
-        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).seed(1);
+        let session = ExecSession::new(0);
+        let req = GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db)).seed(1);
         let resp = svc.complete(&req, &probe);
         assert_eq!(resp.support_level, None);
         assert_eq!(resp.prompt_tokens, CONTEXT_LIMIT);
@@ -493,11 +521,13 @@ mod tests {
             demonstrations: vec![demo_with_skeleton("SELECT _ FROM _ WHERE _ = _")],
             schema_text: "create table t (id int, name text)\n".into(),
             nl: "q?".into(),
+            ..Default::default()
         };
         let svc = LlmService::new(CHATGPT);
         let sink = obs::EventSink::bounded(4, 16);
         let probe = obs::Probe::new(obs::Clock::Virtual, 3, None, Some(&sink), None);
-        let req = GenerationRequest::for_prompt(&prompt, &gold, &db).n(4).seed(7);
+        let session = ExecSession::new(0);
+        let req = GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db)).n(4).seed(7);
         let resp = svc.complete(&req, &probe);
         probe.publish();
         let drained = sink.drain();
@@ -524,9 +554,13 @@ mod tests {
             demonstrations: vec![],
             schema_text: "create table t (id int, name text)\n".into(),
             nl: "q?".into(),
+            ..Default::default()
         };
         let svc = LlmService::new(CHATGPT);
-        let mk = |n: usize| GenerationRequest::for_prompt(&prompt, &gold, &db).n(n).seed(5);
+        let session = ExecSession::new(0);
+        let mk = |n: usize| {
+            GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db)).n(n).seed(5)
+        };
         let one = svc.complete(&mk(1), &obs::Probe::detached());
         let ten = svc.complete(&mk(10), &obs::Probe::detached());
         assert!(ten.output_tokens > one.output_tokens * 5);

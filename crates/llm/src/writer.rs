@@ -26,7 +26,9 @@ pub fn write_sample(
     let mut q = if composition_ok {
         gold.clone()
     } else {
-        near_miss(gold, db, profile.equivalent_bias, rng).unwrap_or_else(|| gold.clone())
+        let uncached = engine::ExecSession::new(0);
+        near_miss(gold, &uncached.bind(db), profile.equivalent_bias, rng)
+            .unwrap_or_else(|| gold.clone())
     };
     let link_factor = if schema_pruned { profile.pruned_linking_factor } else { 1.0 };
     let p_link = ((profile.linking_error + linking_noise) * link_factor).min(0.9);

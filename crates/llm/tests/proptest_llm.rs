@@ -9,19 +9,20 @@ use llm::{
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sqlkit::Skeleton;
+use std::sync::Arc;
 
 const CASES: u64 = 64;
 
-fn demo(ix: usize, schema_cols: usize) -> Demonstration {
+fn demo(ix: usize, schema_cols: usize) -> Arc<Demonstration> {
     let cols: Vec<String> = (0..schema_cols).map(|i| format!("c{i} int")).collect();
     let schema = format!("create table t{ix} ({})\n", cols.join(", "));
-    Demonstration {
-        schema_text: schema.clone(),
-        full_schema_text: schema,
-        nl: format!("question {ix} about table t{ix}?"),
-        sql: format!("SELECT c0 FROM t{ix} WHERE c1 = {ix}"),
-        skeleton: Skeleton::parse("SELECT _ FROM _ WHERE _ = _"),
-    }
+    Arc::new(Demonstration::new(
+        schema.clone(),
+        schema.into(),
+        format!("question {ix} about table t{ix}?"),
+        format!("SELECT c0 FROM t{ix} WHERE c1 = {ix}"),
+        Skeleton::parse("SELECT _ FROM _ WHERE _ = _"),
+    ))
 }
 
 /// Up to `max` characters, none of them a newline: spaces, printable ASCII and
@@ -65,14 +66,9 @@ fn prompt_fits_any_budget_above_core() {
             demonstrations: (0..n_demos).map(|i| demo(i, 4)).collect(),
             schema_text: "create table u (a int, b text)\n".into(),
             nl: "how many u are there?".into(),
+            ..Default::default()
         };
-        let core_len = Prompt {
-            instruction: p.instruction.clone(),
-            demonstrations: vec![],
-            schema_text: p.schema_text.clone(),
-            nl: p.nl.clone(),
-        }
-        .token_len();
+        let core_len = Prompt { demonstrations: vec![], ..p.clone() }.token_len();
         p.fit_to_budget(budget);
         if budget >= core_len {
             assert!(p.token_len() <= budget, "{case}: {} > {budget}", p.token_len());
@@ -127,14 +123,16 @@ fn service_is_deterministic_and_respects_n() {
         demonstrations: vec![demo(0, 3)],
         schema_text: "create table t (a int, b text)\n".into(),
         nl: "what is the b of t with a 1?".into(),
+        ..Default::default()
     };
     let svc = LlmService::new(CHATGPT);
+    let session = engine::ExecSession::shared();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let req_seed = rng.random_range(0u64..500);
         let n = rng.random_range(1usize..8);
         let case = format!("seed {seed}, case request seed {req_seed}, n {n}");
-        let req = GenerationRequest::for_prompt(&prompt, &gold, &db)
+        let req = GenerationRequest::for_prompt(&prompt, &gold, session.bind(&db))
             .prune_quality(0.5)
             .n(n)
             .seed(req_seed);

@@ -3,7 +3,7 @@
 //! loss** (Lin et al., ICCV 2017) by SGD on the training split, exactly as the
 //! paper prescribes ("Training adopts focal loss in line with RESDSQL").
 
-use crate::features::{column_value_match, item_features, tokenize_nl, ITEM_FEATURES};
+use crate::features::{column_value_match, item_features, tokenize_nl, ItemMatch, ITEM_FEATURES};
 use crate::labels::used_items;
 use engine::Database;
 use rand::prelude::*;
@@ -71,7 +71,18 @@ fn focal_loss(p: f64, y: bool, alpha: f64, gamma: f64) -> f64 {
 
 impl SchemaClassifier {
     /// Train on a benchmark's examples (gold labels extracted from the SQL).
+    ///
+    /// The features do not depend on the weights, so every example's items are
+    /// matched once, before the first epoch, and each SGD step expands its
+    /// stored match into a feature row. The steps run in the same order as matching inside the
+    /// epoch loop would, so the weights are the same to the bit.
     pub fn train(bench: &Benchmark, cfg: TrainConfig) -> Self {
+        // `focal_grad` raises to `cfg.gamma` with `powf`. Were `gamma` a
+        // constant the optimizer could see (the default 2.0), it could turn
+        // `powf(p, 2.0)` into `p * p`, which rounds differently in the last
+        // bit; an opaque config keeps the weights independent of inlining.
+        let cfg = std::hint::black_box(cfg);
+        let steps = TrainingSteps::extract(bench);
         let mut w_table = [0.0; ITEM_FEATURES];
         let mut w_col = [0.0; ITEM_FEATURES];
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -80,41 +91,18 @@ impl SchemaClassifier {
             order.shuffle(&mut rng);
             let lr = cfg.lr / (1.0 + epoch as f64);
             for &i in &order {
-                let ex = &bench.examples[i];
-                let db = bench.db_of(ex);
-                let used = used_items(&ex.query, &db.schema);
-                let nl_lower = ex.nl.to_ascii_lowercase();
-                let words = tokenize_nl(&ex.nl);
-                for (ti, t) in db.schema.tables.iter().enumerate() {
-                    let x = item_features(&nl_lower, &words, &t.display, false, false);
-                    let y = used.tables.contains(&ti);
-                    sgd_step(&mut w_table, &x, y, lr, cfg);
-                    for (ci, c) in t.columns.iter().enumerate() {
-                        let id = ColumnId { table: ti, column: ci };
-                        let x = item_features(
-                            &nl_lower,
-                            &words,
-                            &c.display,
-                            db.schema.tables[ti].primary_key == Some(ci),
-                            column_value_match(&nl_lower, db, id),
-                        );
-                        let y = used.columns.contains(&id);
-                        sgd_step(&mut w_col, &x, y, lr, cfg);
-                    }
+                for step in steps.of(i) {
+                    let w = if step.table { &mut w_table } else { &mut w_col };
+                    sgd_step(w, &step.item.features(), step.label, lr, cfg);
                 }
             }
         }
         SchemaClassifier { w_table, w_col }
     }
 
-    /// The raw weight vectors (tables, columns) — used by text persistence.
+    /// The raw weight vectors (tables, columns).
     pub fn weights(&self) -> (&[f64; ITEM_FEATURES], &[f64; ITEM_FEATURES]) {
         (&self.w_table, &self.w_col)
-    }
-
-    /// Rebuild a classifier from raw weight vectors (text persistence).
-    pub fn from_weights(w_table: [f64; ITEM_FEATURES], w_col: [f64; ITEM_FEATURES]) -> Self {
-        SchemaClassifier { w_table, w_col }
     }
 
     fn score(&self, w: &[f64; ITEM_FEATURES], x: &[f64; ITEM_FEATURES]) -> f64 {
@@ -125,14 +113,9 @@ impl SchemaClassifier {
     pub fn score_tables(&self, nl: &str, db: &Database) -> Vec<f64> {
         let nl_lower = nl.to_ascii_lowercase();
         let words = tokenize_nl(nl);
-        db.schema
-            .tables
-            .iter()
-            .map(|t| {
-                self.score(
-                    &self.w_table,
-                    &item_features(&nl_lower, &words, &t.display, false, false),
-                )
+        (db.lexicon().tables.iter())
+            .map(|name| {
+                self.score(&self.w_table, &item_features(&nl_lower, &words, name, false, false))
             })
             .collect()
     }
@@ -141,20 +124,16 @@ impl SchemaClassifier {
     pub fn score_columns(&self, nl: &str, db: &Database) -> Vec<Vec<f64>> {
         let nl_lower = nl.to_ascii_lowercase();
         let words = tokenize_nl(nl);
-        db.schema
-            .tables
-            .iter()
-            .enumerate()
+        let lexicon = db.lexicon();
+        (db.schema.tables.iter().enumerate())
             .map(|(ti, t)| {
-                t.columns
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, c)| {
+                (0..t.columns.len())
+                    .map(|ci| {
                         let id = ColumnId { table: ti, column: ci };
                         let x = item_features(
                             &nl_lower,
                             &words,
-                            &c.display,
+                            &lexicon.column(id).name,
                             t.primary_key == Some(ci),
                             column_value_match(&nl_lower, db, id),
                         );
@@ -163,6 +142,60 @@ impl SchemaClassifier {
                     .collect()
             })
             .collect()
+    }
+}
+
+/// One SGD step's input.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    item: ItemMatch,
+    /// A table (else a column) step: which weight vector it updates.
+    table: bool,
+    /// The item is used by the gold SQL.
+    label: bool,
+}
+
+/// Every example's steps, matched once: the tables of the example's
+/// database in schema order, each followed by its columns.
+struct TrainingSteps {
+    steps: Vec<Step>,
+    /// Example `i`'s steps are `steps[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl TrainingSteps {
+    fn extract(bench: &Benchmark) -> Self {
+        let mut steps = Vec::new();
+        let mut starts = vec![0];
+        for ex in &bench.examples {
+            let db = bench.db_of(ex);
+            let lexicon = db.lexicon();
+            let used = used_items(&ex.query, &db.schema);
+            let nl_lower = ex.nl.to_ascii_lowercase();
+            let words = tokenize_nl(&ex.nl);
+            for (ti, t) in db.schema.tables.iter().enumerate() {
+                let item = ItemMatch::of(&nl_lower, &words, &lexicon.tables[ti], false, false);
+                steps.push(Step { item, table: true, label: used.tables.contains(&ti) });
+                for ci in 0..t.columns.len() {
+                    let id = ColumnId { table: ti, column: ci };
+                    let item = ItemMatch::of(
+                        &nl_lower,
+                        &words,
+                        &lexicon.column(id).name,
+                        t.primary_key == Some(ci),
+                        column_value_match(&nl_lower, db, id),
+                    );
+                    steps.push(Step { item, table: false, label: used.columns.contains(&id) });
+                }
+            }
+            starts.push(steps.len());
+        }
+        TrainingSteps { steps, starts }
+    }
+
+    /// Example `i`'s steps, in order.
+    fn of(&self, i: usize) -> &[Step] {
+        &self.steps[self.starts[i]..self.starts[i + 1]]
     }
 }
 
@@ -184,7 +217,78 @@ fn sgd_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::per_call;
     use spidergen::{generate_suite, GenConfig};
+
+    /// The trainer before extraction moved ahead of the epoch loop: it
+    /// matches every item again in every epoch, through the per-call features.
+    fn train_per_epoch(bench: &Benchmark, cfg: TrainConfig) -> SchemaClassifier {
+        let mut w_table = [0.0; ITEM_FEATURES];
+        let mut w_col = [0.0; ITEM_FEATURES];
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..bench.examples.len()).collect();
+        for epoch in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let lr = cfg.lr / (1.0 + epoch as f64);
+            for &i in &order {
+                let ex = &bench.examples[i];
+                let db = bench.db_of(ex);
+                let used = used_items(&ex.query, &db.schema);
+                let nl_lower = ex.nl.to_ascii_lowercase();
+                let words = tokenize_nl(&ex.nl);
+                for (ti, t) in db.schema.tables.iter().enumerate() {
+                    let x = per_call::item_features(&nl_lower, &words, &t.display, false, false);
+                    let y = used.tables.contains(&ti);
+                    sgd_step(&mut w_table, &x, y, lr, cfg);
+                    for (ci, c) in t.columns.iter().enumerate() {
+                        let id = ColumnId { table: ti, column: ci };
+                        let x = per_call::item_features(
+                            &nl_lower,
+                            &words,
+                            &c.display,
+                            db.schema.tables[ti].primary_key == Some(ci),
+                            per_call::column_value_match(&nl_lower, db, id),
+                        );
+                        let y = used.columns.contains(&id);
+                        sgd_step(&mut w_col, &x, y, lr, cfg);
+                    }
+                }
+            }
+        }
+        SchemaClassifier { w_table, w_col }
+    }
+
+    /// The weights' bits, tables then columns.
+    fn bits(clf: &SchemaClassifier) -> [[u64; ITEM_FEATURES]; 2] {
+        let (t, c) = clf.weights();
+        [t.map(f64::to_bits), c.map(f64::to_bits)]
+    }
+
+    #[test]
+    fn trained_weights_are_bit_identical_to_per_epoch_matching() {
+        // Recorded from the trainer that matched every item in every epoch.
+        #[rustfmt::skip]
+        const RECORDED: [(u64, [[u64; ITEM_FEATURES]; 2]); 2] = [
+            (31, [
+                [4607387212622342946, 4607127764055211717, 4606663521665754944, 0, 0, 13824131836287866436, 13830438183561382951],
+                [4605132055296345398, 4605670872228743905, 4604221350012966529, 4598869310082519376, 4603259029855369314, 13823212330749811953, 13830783616722587323],
+            ]),
+            (32, [
+                [4607286758017037374, 4606932168230605003, 4606473239227152677, 0, 0, 13824116058611256739, 13830425097748376827],
+                [4602663063052842446, 4605684235710841448, 4604624092758516915, 4600177054937972666, 4603043610418518497, 13823482716436848672, 13829172124504200168],
+            ]),
+        ];
+        for (seed, recorded) in RECORDED {
+            let suite = generate_suite(&GenConfig::tiny(seed));
+            let trained = bits(&SchemaClassifier::train(&suite.train, TrainConfig::default()));
+            assert_eq!(trained, recorded, "seed {seed}: against the recorded weights");
+            // Through `black_box`, as `train` takes it: with a visible `gamma`
+            // the optimizer may rewrite this copy's `powf` (see `train`).
+            let cfg = std::hint::black_box(TrainConfig::default());
+            let per_epoch = bits(&train_per_epoch(&suite.train, cfg));
+            assert_eq!(trained, per_epoch, "seed {seed}: against the per-epoch trainer");
+        }
+    }
 
     #[test]
     fn focal_gradient_matches_numerical_derivative_for_positives() {

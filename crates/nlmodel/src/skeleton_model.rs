@@ -21,12 +21,7 @@ pub fn cues(nl: &str, db: &Database) -> [bool; NUM_CUES] {
     let lower = nl.to_ascii_lowercase();
     let words = tokenize_nl(nl);
     let has = |s: &str| lower.contains(s);
-    let mut table_mentions = 0;
-    for t in &db.schema.tables {
-        if lower.contains(&t.display.to_ascii_lowercase()) {
-            table_mentions += 1;
-        }
-    }
+    let table_mentions = db.lexicon().tables.iter().filter(|t| lower.contains(&t.lower)).count();
     [
         has("how many"),                                      // 0 count
         has("different"),                                     // 1 distinct
@@ -122,25 +117,6 @@ impl SkeletonPredictor {
     /// Number of distinct candidate skeletons.
     pub fn vocabulary_size(&self) -> usize {
         self.skeletons.len()
-    }
-
-    /// The fitted tables (skeletons, log-priors, per-cue log-likelihood pairs) —
-    /// used by text persistence.
-    #[allow(clippy::type_complexity)] // a named triple view of the three tables
-    pub fn tables(&self) -> (&[Skeleton], &[f64], &[Vec<(f64, f64)>]) {
-        (&self.skeletons, &self.log_prior, &self.log_like)
-    }
-
-    /// Rebuild a predictor from fitted tables (text persistence). Panics when the
-    /// table lengths disagree — persisted files are validated by the loader.
-    pub fn from_tables(
-        skeletons: Vec<Skeleton>,
-        log_prior: Vec<f64>,
-        log_like: Vec<Vec<(f64, f64)>>,
-    ) -> Self {
-        assert_eq!(skeletons.len(), log_prior.len());
-        assert_eq!(skeletons.len(), log_like.len());
-        SkeletonPredictor { skeletons, log_prior, log_like }
     }
 
     /// Top-k beam with normalized probabilities.

@@ -61,13 +61,13 @@ pub fn synthesize_demonstration(
     execute(db, &query).ok()?;
     let sql = query.to_string();
     let nl = format!("Example question answered by: {sql}");
-    Some(Demonstration {
-        schema_text: pruned.to_text(&db.schema),
-        full_schema_text: db.schema.to_prompt_text(None),
+    Some(Demonstration::new(
+        pruned.to_text(&db.schema),
+        db.schema.to_prompt_text(None).into(),
         nl,
         sql,
-        skeleton: skeleton.clone(),
-    })
+        skeleton.clone(),
+    ))
 }
 
 struct Synthesizer<'a> {
@@ -488,9 +488,9 @@ mod tests {
     #[test]
     fn synthesizes_simple_filters() {
         let d = try_synthesize("SELECT _ FROM _ WHERE _ = _", 20).expect("synthesis");
-        assert!(d.sql.starts_with("SELECT"));
+        assert!(d.sql().starts_with("SELECT"));
         assert_eq!(
-            Skeleton::from_query(&sqlkit::parse(&d.sql).unwrap()).to_string(),
+            Skeleton::from_query(&sqlkit::parse(d.sql()).unwrap()).to_string(),
             "SELECT _ FROM _ WHERE _ = _"
         );
     }
@@ -499,7 +499,7 @@ mod tests {
     fn synthesizes_joins_along_fk_paths() {
         let d = try_synthesize("SELECT _ FROM _ JOIN _ ON _ = _ WHERE _ = _", 40)
             .expect("join synthesis");
-        assert!(d.sql.contains("JOIN"), "{}", d.sql);
+        assert!(d.sql().contains("JOIN"), "{}", d.sql());
     }
 
     #[test]
@@ -515,7 +515,7 @@ mod tests {
             try_synthesize("SELECT _ , COUNT ( _ ) FROM _ GROUP BY _ ORDER BY _ ASC LIMIT _", 60)
         });
         if let Some(d) = d {
-            assert!(d.sql.contains("GROUP BY"), "{}", d.sql);
+            assert!(d.sql().contains("GROUP BY"), "{}", d.sql());
         }
     }
 
@@ -526,8 +526,8 @@ mod tests {
             80,
         );
         if let Some(d) = d {
-            assert!(d.sql.contains("EXCEPT"), "{}", d.sql);
-            assert!(d.sql.contains("JOIN"), "{}", d.sql);
+            assert!(d.sql().contains("EXCEPT"), "{}", d.sql());
+            assert!(d.sql().contains("JOIN"), "{}", d.sql());
         }
     }
 
@@ -543,9 +543,9 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 if let Some(d) = synthesize_demonstration(&skel, db, &pruned, &mut rng) {
                     produced += 1;
-                    let q = sqlkit::parse(&d.sql).expect("parses");
+                    let q = sqlkit::parse(d.sql()).expect("parses");
                     engine::execute(db, &q).expect("executes");
-                    assert_eq!(Skeleton::from_query(&q), skel, "wrong composition: {}", d.sql);
+                    assert_eq!(Skeleton::from_query(&q), skel, "wrong composition: {}", d.sql());
                     break;
                 }
             }

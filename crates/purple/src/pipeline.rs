@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spidergen::types::{Benchmark, Example};
 use sqlkit::Skeleton;
+use std::sync::Arc;
 
 /// PURPLE configuration, including every ablation/robustness knob of §V.
 #[derive(Debug, Clone)]
@@ -157,8 +158,9 @@ pub struct Purple {
     cfg: PurpleConfig,
     classifier: SchemaClassifier,
     predictor: SkeletonPredictor,
-    /// Prompt-ready demonstrations, aligned with `automata` indices.
-    pool: Vec<Demonstration>,
+    /// Prompt-ready demonstrations, aligned with `automata` indices; shared
+    /// with every reconfigured copy and with the baselines.
+    pool: Arc<[Arc<Demonstration>]>,
     automata: AutomatonSet,
     service: LlmService,
     /// Shared run environment: execution session, metrics registry (per-run
@@ -173,25 +175,27 @@ pub struct Purple {
 impl Purple {
     /// Train the sub-models on the training split and precompute the demonstration
     /// pool (each demonstration's schema pruned by the same module, §III-A).
+    /// Each entry is built, and its token counts made, once; the full schema
+    /// text is rendered once per database and shared by its entries.
     pub fn new(train: &Benchmark, cfg: PurpleConfig) -> Self {
         let classifier = SchemaClassifier::train(train, TrainConfig::default());
         let predictor = SkeletonPredictor::train(train);
         let pruner = SchemaPruner::new(&classifier, cfg.prune);
-        let mut pool = Vec::with_capacity(train.examples.len());
-        let mut skeletons = Vec::with_capacity(train.examples.len());
-        for ex in &train.examples {
-            let db = train.db_of(ex);
-            let pruned = pruner.prune(&ex.nl, db);
-            let skeleton = Skeleton::from_query(&ex.query);
-            skeletons.push(skeleton.clone());
-            pool.push(Demonstration {
-                schema_text: pruned.to_text(&db.schema),
-                full_schema_text: db.schema.to_prompt_text(None),
-                nl: ex.nl.clone(),
-                sql: ex.sql.clone(),
-                skeleton,
-            });
-        }
+        let full_texts: Vec<Arc<str>> =
+            train.databases.iter().map(|db| db.schema.to_prompt_text(None).into()).collect();
+        let pool: Arc<[Arc<Demonstration>]> = (train.examples.iter())
+            .map(|ex| {
+                let db = train.db_of(ex);
+                Arc::new(Demonstration::new(
+                    pruner.prune(&ex.nl, db).to_text(&db.schema),
+                    full_texts[ex.db_index].clone(),
+                    ex.nl.clone(),
+                    ex.sql.clone(),
+                    Skeleton::from_query(&ex.query),
+                ))
+            })
+            .collect();
+        let skeletons: Vec<Skeleton> = pool.iter().map(|d| d.skeleton().clone()).collect();
         let automata = AutomatonSet::build(&skeletons);
         let service = LlmService::new(cfg.profile);
         Purple {
@@ -227,7 +231,7 @@ impl Purple {
     }
 
     /// The prompt-ready demonstration pool (shared with baseline systems).
-    pub fn pool(&self) -> &[Demonstration] {
+    pub fn pool(&self) -> &Arc<[Arc<Demonstration>]> {
         &self.pool
     }
 
@@ -261,8 +265,9 @@ impl Purple {
     }
 
     /// Reconfigure (ablations / budget sweeps / model swaps) without retraining.
-    /// Keeps the stage clock but, like the fresh [`LlmService`], drops the
-    /// attached [`RunEnv`] — re-attach with [`Purple::with_env`].
+    /// Shares the demonstration pool. Keeps the stage clock but, like the
+    /// fresh [`LlmService`], drops the attached [`RunEnv`] — re-attach with
+    /// [`Purple::with_env`].
     pub fn with_config(&self, cfg: PurpleConfig) -> Purple {
         let service = LlmService::new(cfg.profile);
         Purple {
@@ -409,7 +414,7 @@ impl Purple {
         // (§III-A prunes demo schemas with the same module), consuming budget that
         // would otherwise carry more composition knowledge.
         let stage = probe.stage(Stage::PromptAssembly);
-        let mut demonstrations: Vec<Demonstration> = Vec::new();
+        let mut demonstrations: Vec<Arc<Demonstration>> = Vec::new();
         if matches!(self.cfg.demo_mode, DemoMode::Generate | DemoMode::Hybrid) {
             // §VII future work: synthesize demonstrations exhibiting each predicted
             // skeleton directly on the current schema. Several samples per
@@ -418,24 +423,21 @@ impl Purple {
                 for _ in 0..3 {
                     if let Some(d) = synthesize_demonstration(&pred.skeleton, db, &pruned, &mut rng)
                     {
-                        demonstrations.push(d);
+                        demonstrations.push(Arc::new(d));
                     }
                 }
             }
         }
         if !matches!(self.cfg.demo_mode, DemoMode::Generate) {
-            demonstrations.extend(selected.iter().map(|i| {
-                let mut d = self.pool[*i].clone();
-                if !self.cfg.use_pruning {
-                    d.schema_text = d.full_schema_text.clone();
-                }
-                d
-            }));
+            demonstrations.extend(selected.iter().map(|i| self.pool[*i].clone()));
         }
         let mut prompt = Prompt {
             instruction: "You are a SQLite expert. Answer the question with one SQL query."
                 .to_string(),
             demonstrations,
+            // A synthesized demonstration's pruned text is the full one when
+            // pruning is off, so the flag changes only the pool entries.
+            full_schemas: !self.cfg.use_pruning,
             schema_text,
             nl: ex.nl.clone(),
         };
@@ -451,7 +453,9 @@ impl Purple {
                 ("prompt_tokens", EventValue::U64(fit.tokens)),
             ],
         );
-        let request = GenerationRequest::for_prompt(&prompt, &ex.query, db)
+        let session = self.env.session_or_disabled();
+        let untraced = session.bind(db);
+        let request = GenerationRequest::for_prompt(&prompt, &ex.query, untraced)
             .linking_noise(ex.linking_noise + recall_noise)
             .prune_quality(prune_quality)
             .instruction_quality(0.3)
@@ -462,8 +466,7 @@ impl Purple {
         // --- Step 5: database adaption + consistency -------------------------
         // The "-Database Adaption" ablation removes the repair loop but keeps the
         // plain execution-consistency vote (§IV-D2 is shared with C3/DAIL-SQL).
-        let session = self.env.session_or_disabled();
-        let sdb = session.bind(db).with_tracer(probe.tracer());
+        let sdb = untraced.with_tracer(probe.tracer());
         let (sql, fixes, adapted) = if self.cfg.use_adaption {
             let v = consistency_vote_with(&response.samples, &sdb, &mut rng, &probe);
             (v.sql, v.fixes.iter().map(|f| f.to_string()).collect(), v.adapted)

@@ -7,7 +7,7 @@
 
 use purple_repro::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const CASES: u64 = 64;
 
@@ -72,11 +72,12 @@ fn adaption_leaves_valid_gold_sql_untouched() {
 #[test]
 fn near_miss_rewrites_always_parse_and_usually_execute() {
     let (suite, goldens) = fixtures();
+    let uncached = ExecSession::disabled();
     for seed in 0..CASES {
         let input = case_input(seed, 10_000);
         let mut rng = StdRng::seed_from_u64(input);
         let (db_index, gold) = &goldens[(input as usize) % goldens.len()];
-        let db = &suite.dev.databases[*db_index];
+        let db = &uncached.bind(&suite.dev.databases[*db_index]);
         if let Some(m) = llm::rewrites::near_miss(gold, db, 0.7, &mut rng) {
             let text = m.to_string();
             let case = format!("seed {seed}, case {input}: near-miss `{text}` of `{gold}`");
@@ -84,6 +85,30 @@ fn near_miss_rewrites_always_parse_and_usually_execute() {
             assert_eq!(reparsed, m, "{case}");
         }
     }
+}
+
+#[test]
+fn near_miss_through_a_shared_session_matches_the_uncached_path() {
+    let (suite, goldens) = fixtures();
+    let (shared, uncached) = (ExecSession::shared(), ExecSession::disabled());
+    // The second pass finds the gold queries and their rewrites cached.
+    for pass in 0..2 {
+        for seed in 0..CASES {
+            let input = case_input(seed, 10_000);
+            let (db_index, gold) = &goldens[(input as usize) % goldens.len()];
+            let db = &suite.dev.databases[*db_index];
+            for bias in [0.5, 0.95] {
+                let case = format!("pass {pass}, seed {seed}, case {input}, bias {bias}: `{gold}`");
+                let (mut a, mut b) = (StdRng::seed_from_u64(input), StdRng::seed_from_u64(input));
+                let via_shared = llm::rewrites::near_miss(gold, &shared.bind(db), bias, &mut a);
+                let via_uncached = llm::rewrites::near_miss(gold, &uncached.bind(db), bias, &mut b);
+                assert_eq!(via_shared, via_uncached, "{case}");
+                assert_eq!(a.next_u64(), b.next_u64(), "{case}: the RNG states differ");
+            }
+        }
+    }
+    let stats = shared.stats();
+    assert!(stats.result.hits > 0 && stats.result.misses > 0, "{stats:?}");
 }
 
 #[test]
