@@ -8,7 +8,7 @@
 # byte-identical for any --jobs count (for `cache` and `exec-bench`, with the
 # execution cache on or off, and `exec-bench` also checks the engine against
 # the reference interpreter; for `serve` and `trace`, at any worker
-# count/arrival order with batching on or off; for `dml`, across --jobs counts
+# count and arrival order; for `dml`, across --jobs counts
 # and cache modes; for `soak`, the timeline's virt_* columns across worker
 # counts and arrival seeds). `perfbench` builds and briefly runs the
 # benchmark that BENCHMARK.json declares.
@@ -124,10 +124,10 @@ assert b['bench'] == 'serve' and b['requests'] >= 60, b
 assert b['throughput_rps'] > 0 and b['p50_ms'] <= b['p99_ms'], b
 assert b['run_id'] == '$run1', b"
 
-    # 2. A different worker count, arrival order, and batching mode must gate
-    #    clean against the first run with an all-zero diff: serving changes
-    #    scheduling, never results.
-    "$SERVE" --load-gen 60 --scale tiny --seed 42 --workers 1 --no-batching \
+    # 2. A different worker count and arrival order must gate clean against
+    #    the first run with an all-zero diff: serving changes scheduling,
+    #    never results.
+    "$SERVE" --load-gen 60 --scale tiny --seed 42 --workers 1 \
         --arrival-seed 9 --bench-out "$work/BENCH_serve2.json" \
         --archive "$reg" --baseline "$run1" --gate --diff-out "$work/serve.md" >/dev/null
     grep -q 'All-zero diff' "$work/serve.md"
@@ -163,20 +163,20 @@ for e in events:
         roots.setdefault(e["tid"], []).append(e["name"])
 assert all(names == ["request"] for names in roots.values()), roots
 names = {e["name"] for e in events}
-for required in ["request", "queue-wait", "batch-coalesce", "schema-pruning",
+for required in ["request", "queue-wait", "schema-pruning",
                  "skeleton-prediction", "demo-selection", "prompt-assembly",
                  "llm-call", "adaption", "consistency-vote"]:
     assert required in names, f"missing span {required} (have {sorted(names)})"
 b = json.load(open(f"{work}/B4.json"))
-assert b["schema_version"] == 3 and b["stages"], b
+assert b["schema_version"] == 4 and b["stages"], b
 assert b["run_id"].startswith("run-") and b["soak"] is None, b
 assert any(s["path"] == "request/queue-wait" for s in b["stages"]), b["stages"]
 EOF
 
-    # 2. The exported trace must be byte-identical at any worker count, any
-    #    arrival order, and with batching on or off (virtual clock only —
-    #    wall time never enters the export by default).
-    "$SERVE" --load-gen 60 --scale tiny --seed 42 --workers 1 --no-batching \
+    # 2. The exported trace must be byte-identical at any worker count and
+    #    any arrival order (virtual clock only — wall time never enters the
+    #    export by default).
+    "$SERVE" --load-gen 60 --scale tiny --seed 42 --workers 1 \
         --arrival-seed 9 --trace-out "$work/t1.json" \
         --bench-out "$work/B1.json" >/dev/null
     "$SERVE" --load-gen 60 --scale tiny --seed 42 --workers 8 \
@@ -222,7 +222,7 @@ assert m['has_ts'], 'DML reports are state-scored and must carry TS'"
 soak)
     # 1. A short bounded soak (DESIGN.md §16): open-loop arrivals for 2s at
     #    30 req/s, one timeline row per 500ms tick, soak section in the
-    #    schema-v3 bench summary.
+    #    schema-v4 bench summary.
     "$SERVE" --soak 2 --rate 30 --tick-ms 500 --scale tiny --seed 42 --workers 4 \
         --timeline "$work/tl4.ldjson" --bench-out "$work/S4.json" >/dev/null
     python3 - "$work" <<'EOF'
@@ -240,7 +240,7 @@ for k, r in enumerate(rows):
     assert r["offered"] == r["id_hi"] - r["id_lo"] == per_tick, r
     assert r["verdict"] in ("healthy", "degraded", "breached"), r
 b = json.load(open(f"{work}/S4.json"))
-assert b["schema_version"] == 3 and b["run_id"].startswith("run-"), b
+assert b["schema_version"] == 4 and b["run_id"].startswith("run-"), b
 s = b["soak"]
 assert s and s["ticks"] == 4 and s["offered"] == s["completed"] + s["shed"], s
 assert s["virt_work_offered"] == sum(r["virt_work"] for r in rows), s
@@ -262,7 +262,7 @@ EOF
         '{"id":5,"idx":0,"db_index":0,"nl":"how many","sql":"SELECT a FROM b","linking_noise":0.0,"trace":false,"seed":null}' \
         '{"cmd":"health"}' \
         | "$SERVE" --stdio --scale tiny --seed 42 --workers 2 > "$work/stdio.out"
-    grep -q '"health":{"clock":"virtual"' "$work/stdio.out"
+    grep -q '"health":{"now":' "$work/stdio.out"
     grep -q '"slos":\[{"name":"translate_latency"' "$work/stdio.out"
     grep -q '"verdict":' "$work/stdio.out"
     ;;

@@ -10,9 +10,9 @@ use nlmodel::{SchemaClassifier, SkeletonPredictor};
 use obs::{Clock, EventValue, Gauge, Stage};
 use purple::{PruneConfig, PrunedSchema, SchemaPruner};
 use spidergen::types::Example;
-use sqlkit::Level;
+use sqlkit::{Level, SkelTok};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Models and demonstration pool shared by the baselines (trained once, usually by
 /// borrowing them from a [`purple::Purple`] instance).
@@ -56,6 +56,10 @@ pub enum Strategy {
     DailSql,
 }
 
+/// One pool entry as DAIL-SQL's similarity sees it: the token set of its
+/// question and the keyword set of its skeleton.
+type DailEntry = (BTreeSet<String>, BTreeSet<SkelTok>);
+
 /// A baseline translator.
 pub struct LlmBaseline {
     strategy: Strategy,
@@ -67,6 +71,9 @@ pub struct LlmBaseline {
     /// ledger lives inside `service`.
     env: RunEnv,
     clock: Clock,
+    /// The pool as DAIL-SQL compares it, built on first use: both sets of an
+    /// entry are fixed once the pool is.
+    dail_pool: OnceLock<Vec<DailEntry>>,
 }
 
 impl LlmBaseline {
@@ -80,6 +87,7 @@ impl LlmBaseline {
             seed: 0x51ec7e11,
             env: RunEnv::default(),
             clock: Clock::default(),
+            dail_pool: OnceLock::new(),
         }
     }
 
@@ -104,36 +112,39 @@ impl LlmBaseline {
         if a.is_empty() && b.is_empty() {
             return 0.0;
         }
-        let inter = a.intersection(b).count() as f64;
-        let union = a.union(b).count() as f64;
-        inter / union
+        let inter = a.intersection(b).count();
+        inter as f64 / (a.len() + b.len() - inter) as f64
     }
 
-    fn dail_select(&self, ex: &Example, db: &Database, k: usize) -> Vec<usize> {
+    /// DAIL-SQL's demonstration selection: the indices of the `k` pool entries
+    /// most similar to `ex`, ties going to the earlier entry.
+    pub fn dail_select(&self, ex: &Example, db: &Database, k: usize) -> Vec<usize> {
+        let tokens = |nl: &str| nlmodel::features::tokenize_nl(nl).into_iter().collect();
+        let pool = self.dail_pool.get_or_init(|| {
+            let keywords = |d: &Demonstration| d.skeleton().at_level(Level::Keywords);
+            self.models
+                .pool
+                .iter()
+                .map(|d| (tokens(d.nl()), keywords(d).into_iter().collect()))
+                .collect()
+        });
         // Masked-question tokens.
-        let q_tokens: BTreeSet<String> =
-            nlmodel::features::tokenize_nl(&ex.nl).into_iter().collect();
+        let q_tokens: BTreeSet<String> = tokens(&ex.nl);
         // Predicted-SQL keyword set (order-free, the DAIL shortcut).
         let pred = self.models.predictor.predict(&ex.nl, db, 1);
-        let pred_kw: BTreeSet<sqlkit::SkelTok> = pred
+        let pred_kw: BTreeSet<SkelTok> = pred
             .first()
             .map(|p| p.skeleton.at_level(Level::Keywords).into_iter().collect())
             .unwrap_or_default();
-        let mut scored: Vec<(usize, f64)> = self
-            .models
-            .pool
+        let mut scored: Vec<(usize, f64)> = pool
             .iter()
             .enumerate()
-            .map(|(i, d)| {
-                let d_tokens: BTreeSet<String> =
-                    nlmodel::features::tokenize_nl(d.nl()).into_iter().collect();
-                let d_kw: BTreeSet<sqlkit::SkelTok> =
-                    d.skeleton().at_level(Level::Keywords).into_iter().collect();
+            .map(|(i, (d_tokens, d_kw))| {
                 // DAIL leans on the predicted-SQL keyword set (order-free — the
                 // §IV-C1 weakness) with masked-question similarity as secondary;
                 // a wrong preliminary prediction poisons the retrieval.
-                let sim = 0.3 * Self::jaccard(&q_tokens, &d_tokens)
-                    + 0.7 * Self::jaccard(&pred_kw, &d_kw);
+                let sim =
+                    0.3 * Self::jaccard(&q_tokens, d_tokens) + 0.7 * Self::jaccard(&pred_kw, d_kw);
                 (i, sim)
             })
             .collect();

@@ -197,18 +197,26 @@ mod tests {
 
     #[test]
     fn plm_rows_have_high_em_and_larger_ex_minus_ts_gap() {
-        let suite = generate_suite(&GenConfig::tiny(66));
-        let predictor = Arc::new(SkeletonPredictor::train(&suite.train));
-        let resdsql = PlmTranslator::new(RESDSQL, predictor.clone());
-        let r = evaluate(&resdsql, &suite.dev, None);
-        assert!(r.overall.em_pct() > 50.0, "RESDSQL EM too low: {:.1}", r.overall.em_pct());
-        let picard = PlmTranslator::new(PICARD, predictor);
-        let rp = evaluate(&picard, &suite.dev, None);
+        // On one tiny dev split (40 examples) the two presets' EM differ by
+        // less than the sampling noise, so the claim pools the tiny seeds
+        // 50..80: 1,200 examples, RESDSQL 806 EM hits and PICARD 748.
+        let (mut n, mut resdsql_em, mut picard_em) = (0usize, 0usize, 0usize);
+        for seed in 50..80 {
+            let suite = generate_suite(&GenConfig::tiny(seed));
+            let predictor = Arc::new(SkeletonPredictor::train(&suite.train));
+            let r = evaluate(&PlmTranslator::new(RESDSQL, predictor.clone()), &suite.dev, None);
+            let rp = evaluate(&PlmTranslator::new(PICARD, predictor), &suite.dev, None);
+            n += r.overall.n;
+            resdsql_em += r.overall.em;
+            picard_em += rp.overall.em;
+        }
+        let pct = |hits: usize| 100.0 * hits as f64 / n as f64;
+        assert!(pct(resdsql_em) > 60.0, "RESDSQL EM too low: {:.1}", pct(resdsql_em));
         assert!(
-            r.overall.em_pct() >= rp.overall.em_pct(),
+            resdsql_em >= picard_em,
             "RESDSQL {:.1} should be at least PICARD {:.1}",
-            r.overall.em_pct(),
-            rp.overall.em_pct()
+            pct(resdsql_em),
+            pct(picard_em)
         );
     }
 

@@ -56,36 +56,51 @@ struct Args {
     cost: bool,
 }
 
-/// Turn an `--only NAME` value into the matching experiment flag. Returns
-/// false for names that don't exist.
+/// The [`Args`] flag an experiment sets.
+type Flag = fn(&mut Args) -> &mut bool;
+
+/// Every experiment by name (`--only NAME` or `--NAME`) with the flag it
+/// sets. The first [`DEFAULT_EXPERIMENTS`] are the paper's tables and figures:
+/// what `--all`, or a command line naming no experiment, runs.
+const EXPERIMENTS: [(&str, Flag); 18] = [
+    ("table1", |a| &mut a.table1),
+    ("table2", |a| &mut a.table2),
+    ("table3", |a| &mut a.table3),
+    ("table4", |a| &mut a.table4),
+    ("table5", |a| &mut a.table5),
+    ("table6", |a| &mut a.table6),
+    ("fig9", |a| &mut a.fig9),
+    ("fig10", |a| &mut a.fig10),
+    ("fig11", |a| &mut a.fig11),
+    ("fig12", |a| &mut a.fig12),
+    ("automaton-stats", |a| &mut a.automaton),
+    ("support-stats", |a| &mut a.support),
+    ("rewrite-stats", |a| &mut a.rewrites),
+    ("extension-generation", |a| &mut a.generation),
+    ("seed-sweep", |a| &mut a.sweep),
+    ("model-stats", |a| &mut a.model_stats),
+    ("error-analysis", |a| &mut a.errors),
+    ("cost-report", |a| &mut a.cost),
+];
+
+/// How many leading [`EXPERIMENTS`] run by default.
+const DEFAULT_EXPERIMENTS: usize = 11;
+
+/// Turn an experiment name into the matching experiment flag. Returns false
+/// for names that don't exist.
 fn set_experiment(args: &mut Args, name: &str) -> bool {
-    match name {
-        "table1" => args.table1 = true,
-        "table2" => args.table2 = true,
-        "table3" => args.table3 = true,
-        "table4" => args.table4 = true,
-        "table5" => args.table5 = true,
-        "table6" => args.table6 = true,
-        "fig9" => args.fig9 = true,
-        "fig10" => args.fig10 = true,
-        "fig11" => args.fig11 = true,
-        "fig12" => args.fig12 = true,
-        "automaton-stats" => args.automaton = true,
-        "support-stats" => args.support = true,
-        "rewrite-stats" => args.rewrites = true,
-        "extension-generation" => args.generation = true,
-        "seed-sweep" => args.sweep = true,
-        "model-stats" => args.model_stats = true,
-        "error-analysis" => args.errors = true,
-        "cost-report" => args.cost = true,
-        _ => return false,
+    match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        Some((_, flag)) => *flag(args) = true,
+        None => return false,
     }
     true
 }
 
-const EXPERIMENT_NAMES: &str = "table1 table2 table3 table4 table5 table6 fig9 fig10 fig11 \
-     fig12 automaton-stats support-stats rewrite-stats extension-generation seed-sweep \
-     model-stats error-analysis cost-report";
+fn set_default_experiments(args: &mut Args) {
+    for (_, flag) in &EXPERIMENTS[..DEFAULT_EXPERIMENTS] {
+        *flag(args) = true;
+    }
+}
 
 fn parse_args() -> Args {
     let mut args = Args { seed: 42, gate_blame: 10.0, ..Default::default() };
@@ -151,7 +166,8 @@ fn parse_args() -> Args {
             "--only" => {
                 let name = it.next().unwrap_or_default();
                 if !set_experiment(&mut args, &name) {
-                    eprintln!("unknown experiment `{name}`; valid names: {EXPERIMENT_NAMES}");
+                    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                    eprintln!("unknown experiment `{name}`; valid names: {}", names.join(" "));
                     std::process::exit(2);
                 }
                 any = true;
@@ -226,91 +242,9 @@ fn parse_args() -> Args {
                 args.dml = true;
                 any = true;
             }
-            "--table1" => {
-                args.table1 = true;
-                any = true;
-            }
-            "--table2" => {
-                args.table2 = true;
-                any = true;
-            }
-            "--table3" => {
-                args.table3 = true;
-                any = true;
-            }
-            "--table4" => {
-                args.table4 = true;
-                any = true;
-            }
-            "--table5" => {
-                args.table5 = true;
-                any = true;
-            }
-            "--table6" => {
-                args.table6 = true;
-                any = true;
-            }
-            "--fig9" => {
-                args.fig9 = true;
-                any = true;
-            }
-            "--fig10" => {
-                args.fig10 = true;
-                any = true;
-            }
-            "--fig11" => {
-                args.fig11 = true;
-                any = true;
-            }
-            "--fig12" => {
-                args.fig12 = true;
-                any = true;
-            }
-            "--automaton-stats" => {
-                args.automaton = true;
-                any = true;
-            }
-            "--support-stats" => {
-                args.support = true;
-                any = true;
-            }
-            "--rewrite-stats" => {
-                args.rewrites = true;
-                any = true;
-            }
-            "--extension-generation" => {
-                args.generation = true;
-                any = true;
-            }
-            "--seed-sweep" => {
-                args.sweep = true;
-                any = true;
-            }
-            "--model-stats" => {
-                args.model_stats = true;
-                any = true;
-            }
-            "--error-analysis" => {
-                args.errors = true;
-                any = true;
-            }
-            "--cost-report" => {
-                args.cost = true;
-                any = true;
-            }
             "--all" => {
+                set_default_experiments(&mut args);
                 any = true;
-                args.table1 = true;
-                args.table2 = true;
-                args.table3 = true;
-                args.table4 = true;
-                args.table5 = true;
-                args.table6 = true;
-                args.fig9 = true;
-                args.fig10 = true;
-                args.fig11 = true;
-                args.fig12 = true;
-                args.automaton = true;
             }
             "--help" | "-h" => {
                 println!(
@@ -360,24 +294,17 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
+            other => match other.strip_prefix("--") {
+                Some(name) if set_experiment(&mut args, name) => any = true,
+                _ => {
+                    eprintln!("unknown argument `{other}` (try --help)");
+                    std::process::exit(2);
+                }
+            },
         }
     }
     if !any {
-        args.table1 = true;
-        args.table2 = true;
-        args.table3 = true;
-        args.table4 = true;
-        args.table5 = true;
-        args.table6 = true;
-        args.fig9 = true;
-        args.fig10 = true;
-        args.fig11 = true;
-        args.fig12 = true;
-        args.automaton = true;
+        set_default_experiments(&mut args);
     }
     args
 }

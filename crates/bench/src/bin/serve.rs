@@ -3,7 +3,7 @@
 //! ```text
 //! purple-serve (--stdio | --tcp ADDR | --load-gen N | --soak SECS)
 //!              [--scale tiny|medium|full] [--seed N] [--profile chatgpt|gpt4]
-//!              [--workers N] [--queue-capacity N] [--no-batching] [--batch-max N]
+//!              [--workers N] [--queue-capacity N]
 //!              [--trace-out PATH] [--trace-sample N] [--trace-wall]
 //!              [--slo-target N]
 //!              load-gen/soak only:
@@ -22,7 +22,7 @@
 //! with the sliding-window SLO snapshot as one JSON object). `--load-gen N`
 //! instead drives N seeded synthetic requests through the server, prints
 //! throughput and latency percentiles plus a per-stage span rollup, writes
-//! them to `BENCH_serve.json` (schema v3, per-stage breakdown included), and
+//! them to `BENCH_serve.json` (schema v4, per-stage breakdown included), and
 //! can archive the replayed evaluation report in the PR-5 run registry so
 //! the regression gate covers served translations.
 //!
@@ -38,8 +38,8 @@
 //!
 //! Request tracing (DESIGN.md §14) is always on under `--load-gen` and
 //! enabled elsewhere by `--trace-out`. The exported Chrome trace JSON uses
-//! virtual work units, byte-identical for any `--workers`, `--arrival-seed`,
-//! and batching mode; `--trace-wall` switches the export to wall-clock
+//! virtual work units, byte-identical for any `--workers` and
+//! `--arrival-seed`; `--trace-wall` switches the export to wall-clock
 //! microseconds (machine-dependent, opt-in).
 
 use bench_harness::{serve, soak, Scale};
@@ -68,8 +68,6 @@ struct Args {
     profile: &'static str,
     workers: usize,
     queue_capacity: usize,
-    batching: bool,
-    batch_max: usize,
     trace_out: Option<String>,
     trace_sample: u64,
     trace_wall: bool,
@@ -92,7 +90,7 @@ struct Args {
 
 const USAGE: &str = "purple-serve (--stdio | --tcp ADDR | --load-gen N | --soak SECS) \
     [--scale tiny|medium|full] [--seed N] [--profile chatgpt|gpt4] [--workers N] \
-    [--queue-capacity N] [--no-batching] [--batch-max N] [--trace-out PATH] \
+    [--queue-capacity N] [--trace-out PATH] \
     [--trace-sample N] [--trace-wall] [--slo-target N] [--rate RPS] [--tick-ms N] \
     [--timeline PATH] [--arrival-seed N] \
     [--bench-out PATH] [--archive DIR [--baseline RUN [--gate] [--gate-ex N] \
@@ -113,8 +111,6 @@ fn parse_args() -> Args {
         profile: "chatgpt",
         workers: bench_harness::context::default_jobs(),
         queue_capacity: 64,
-        batching: true,
-        batch_max: 16,
         trace_out: None,
         trace_sample: 1,
         trace_wall: false,
@@ -182,14 +178,6 @@ fn parse_args() -> Args {
                     .ok()
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| die("--queue-capacity needs a positive integer"));
-            }
-            "--no-batching" => args.batching = false,
-            "--batch-max" => {
-                args.batch_max = next(&mut it, "--batch-max")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| die("--batch-max needs a positive integer"));
             }
             "--soak" => {
                 args.soak_secs = Some(
@@ -312,8 +300,6 @@ fn main() {
     let cfg = serve::ServeConfig {
         workers: args.workers,
         queue_capacity: args.queue_capacity,
-        batching: args.batching,
-        batch_max: args.batch_max,
         trace: trace_on.then_some(serve::TraceConfig {
             sample: args.trace_sample,
             seed: args.seed,
@@ -494,12 +480,10 @@ fn load_gen(
         jobs: args.workers,
         profile: profile.name.to_string(),
         config_fingerprint: eval::fingerprint(&format!(
-            "{:?} serve workers={} queue={} batching={} batch_max={}",
+            "{:?} serve workers={} queue={}",
             PurpleConfig::default_with(profile),
             args.workers,
-            args.queue_capacity,
-            args.batching,
-            args.batch_max
+            args.queue_capacity
         )),
         git_rev: eval::git_rev(std::path::Path::new(".")).unwrap_or_else(|| "unknown".into()),
         schema_version: eval::REPORT_SCHEMA_VERSION,
@@ -648,14 +632,14 @@ fn bench_json(
         Some(secs) => format!(" --soak {secs} --rate {} --tick-ms {}", args.rate, args.tick_ms),
     };
     format!(
-        "{{\n  \"schema_version\": 3,\n  \"bench\": \"serve\",\n  \"description\": \"purple-serve \
+        "{{\n  \"schema_version\": 4,\n  \"bench\": \"serve\",\n  \"description\": \"purple-serve \
          load generator: seeded synthetic requests cycling the dev split, driven through the \
-         concurrent serving front-end (bounded queue + same-database batching over a shared \
+         concurrent serving front-end (bounded queue, one request per worker, a shared \
          ExecSession). Latency is submit-to-completion wall time including admission wait. \
          Reproduce with: cargo run -p purple-bench --bin purple-serve -- --load-gen \
          {requests}{soak_flags} --scale {} --seed {} --workers {}\",\n  \
          \"scale\": \"{}\",\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"workers\": {},\n  \
-         \"queue_capacity\": {},\n  \"batching\": {},\n  \"batch_max\": {},\n  \
+         \"queue_capacity\": {},\n  \
          \"requests\": {requests},\n  \"examples\": {examples},\n  \"arrival_seed\": {},\n  \
          \"wall_ms\": {:.3},\n  \"throughput_rps\": {:.1},\n  \"p50_ms\": {:.3},\n  \
          \"p95_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"em_pct\": {:.1},\n  \"ex_pct\": {:.1},\n  \
@@ -664,10 +648,11 @@ fn bench_json(
          \"note\": \"wall-clock timings (wall_ms, *_ms, wall_us_*, sustained_rps, soak latency \
          peaks) vary by machine; the EvalReport under run_id, the virt_* stage columns, the soak \
          virt_work_offered total, and the exported trace JSON are deterministic — byte-identical \
-         for any --workers, --arrival-seed, and with or without batching. They follow the \
-         stream of the repository's seeded generator (perfbench/stubs/rand), which every build \
-         of the repository uses. Schema v3 makes run_id always the deterministic registry id and \
-         appends `soak` (null without --soak); v1/v2 readers are unaffected.\"\n}}\n",
+         for any --workers and --arrival-seed. They follow the stream of the repository's \
+         seeded generator (perfbench/stubs/rand), which every build of the repository uses. \
+         Schema v3 made run_id always the deterministic registry id and appended `soak` (null \
+         without --soak); v4 drops `batching` and `batch_max`, since every worker translates \
+         one request at a time.\"\n}}\n",
         args.scale.name(),
         args.seed,
         args.workers,
@@ -676,8 +661,6 @@ fn bench_json(
         args.profile,
         args.workers,
         args.queue_capacity,
-        args.batching,
-        args.batch_max,
         args.arrival_seed,
         ms(stats.wall),
         stats.throughput_rps,

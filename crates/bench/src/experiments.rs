@@ -632,6 +632,7 @@ pub fn support_stats(ctx: &ReproContext) -> Vec<(String, [usize; 5])> {
     // Re-derive the selections the strategies would make.
     let automata = ctx.purple.automata();
     let predictor = &ctx.models.predictor;
+    let dail = baseline(ctx, Strategy::DailSql, GPT4);
     let mut rng = rand::SeedableRng::seed_from_u64(77);
     for ex in &dev.examples {
         let db = dev.db_of(ex);
@@ -650,8 +651,8 @@ pub fn support_stats(ctx: &ReproContext) -> Vec<(String, [usize; 5])> {
         let skels: Vec<&Skeleton> = sel.iter().map(|i| pool[*i].skeleton()).collect();
         bump(&mut purple_hist, LlmService::support_level(&required, &skels));
 
-        // DAIL: keyword/NL Jaccard (reproduce the baseline's ranking).
-        let dail_sel = dail_like_selection(ctx, ex, db, 16);
+        // DAIL: the baseline's own keyword/NL Jaccard ranking.
+        let dail_sel = dail.dail_select(ex, db, 16);
         let skels: Vec<&Skeleton> = dail_sel.iter().map(|i| pool[*i].skeleton()).collect();
         bump(&mut dail_hist, LlmService::support_level(&required, &skels));
 
@@ -673,45 +674,6 @@ fn bump(hist: &mut [usize; 5], level: Option<sqlkit::Level>) {
         Some(l) => hist[l.index()] += 1,
         None => hist[4] += 1,
     }
-}
-
-/// DAIL-style Jaccard selection (mirrors `LlmBaseline::dail_select`).
-fn dail_like_selection(
-    ctx: &ReproContext,
-    ex: &spidergen::types::Example,
-    db: &engine::Database,
-    k: usize,
-) -> Vec<usize> {
-    use sqlkit::Level;
-    use std::collections::BTreeSet;
-    let jaccard = |a: &BTreeSet<String>, b: &BTreeSet<String>| -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 0.0;
-        }
-        a.intersection(b).count() as f64 / a.union(b).count() as f64
-    };
-    let q_tokens: BTreeSet<String> = nlmodel::features::tokenize_nl(&ex.nl).into_iter().collect();
-    let pred = ctx.models.predictor.predict(&ex.nl, db, 1);
-    let pred_kw: BTreeSet<String> = pred
-        .first()
-        .map(|p| p.skeleton.at_level(Level::Keywords).into_iter().map(|t| t.to_string()).collect())
-        .unwrap_or_default();
-    let mut scored: Vec<(usize, f64)> = ctx
-        .models
-        .pool
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            let d_tokens: BTreeSet<String> =
-                nlmodel::features::tokenize_nl(d.nl()).into_iter().collect();
-            let d_kw: BTreeSet<String> =
-                d.skeleton().at_level(Level::Keywords).into_iter().map(|t| t.to_string()).collect();
-            (i, 0.3 * jaccard(&q_tokens, &d_tokens) + 0.7 * jaccard(&pred_kw, &d_kw))
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    scored.truncate(k);
-    scored.into_iter().map(|(i, _)| i).collect()
 }
 
 /// Diagnostic: how often does a near-miss rewrite preserve execution results?

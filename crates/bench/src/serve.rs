@@ -6,28 +6,25 @@
 //! The service boundary speaks owned types only: clients submit
 //! [`Request`]s (an id plus an owned [`eval::JobSpec`]) and receive
 //! id-tagged [`Response`]s, possibly out of order. Borrowed [`eval::Job`]s
-//! exist only inside a worker, for the duration of one batch.
+//! exist only inside a worker, for the duration of one translation.
 //!
-//! Three mechanisms shape the pipeline:
+//! Each worker pops one request, translates it with [`Purple::run`] and sends
+//! its completion at once: PURPLE translates each question on its own, so
+//! requests against the same database share no work. Two mechanisms shape
+//! the pipeline around that loop:
 //!
 //! * **Admission control** — the request queue is bounded
 //!   ([`ServeConfig::queue_capacity`]); [`SubmitHandle::submit`] blocks until
 //!   a slot frees, so a fast client cannot grow memory without bound.
-//! * **Batching** — a worker that dequeues a request also drains every queued
-//!   request targeting the same database (up to [`ServeConfig::batch_max`])
-//!   and translates the batch through [`Purple::run_batch`], which shares one
-//!   schema-pruning classifier pass across the batch. Batching never changes
-//!   results: pruning is a pure function of (question, database), so batched
-//!   and unbatched serving produce byte-identical translations.
 //! * **Observability** — queue depth and in-flight counts are published to
 //!   the shared registry's [`Gauge::QueueDepth`] / [`Gauge::InFlight`] gauges;
 //!   per-run stage metrics flow through the [`Purple`]'s attached environment
 //!   ([`eval::RunEnv`]) exactly as in batch evaluation. With
 //!   [`ServeConfig::trace`] set, sampled requests additionally record a
 //!   request-scoped span tree ([`obs::TraceRecorder`], DESIGN.md §14):
-//!   admission opens a `queue-wait` span, the dequeuing worker closes it and
-//!   stamps a `batch-coalesce` leaf, the pipeline stages nest under the
-//!   `request` root, and the finished tree is published to the server's
+//!   admission opens a `queue-wait` span, the dequeuing worker closes it,
+//!   the pipeline stages nest under the `request` root, and the finished tree
+//!   is published to the server's
 //!   [`obs::SpanSink`] *before* the completion is sent, so a client that has
 //!   seen its response can already observe its trace.
 //!
@@ -44,7 +41,7 @@ use eval::{
     command_from_json, request_from_json, response_to_json, EvalReport, Request, Response,
     ServeCommand, TestSuite,
 };
-use obs::trace::{BATCH_SPAN, QUEUE_WAIT_SPAN};
+use obs::trace::{splitmix64, QUEUE_WAIT_SPAN};
 use obs::{
     Counter, EventSink, Gauge, MetricsRegistry, SinkLoss, SlidingWindow, SloSpec, SloStatus,
     SloTracker, SloVerdict, SpanSink, SpanToken, TraceRecorder, TraceSampler, WindowStats,
@@ -80,9 +77,8 @@ impl Default for TraceConfig {
 }
 
 /// Windowed-telemetry and SLO knobs (DESIGN.md §16). The windows slide over
-/// the *telemetry clock*: cumulative completed virtual work by default (so
-/// window contents depend only on what completed, not on wall time), or wall
-/// nanoseconds since server start with [`TelemetryConfig::wall`].
+/// the *telemetry clock*: cumulative completed virtual work, so window
+/// contents depend only on what completed, not on wall time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Telemetry-clock units per window bucket.
@@ -96,10 +92,6 @@ pub struct TelemetryConfig {
     pub latency_budget: f64,
     /// Admission SLO: tolerated shed fraction over the window.
     pub admission_budget: f64,
-    /// Drive the windows by wall nanoseconds instead of completed virtual
-    /// work ("what happened in the last N seconds" rather than "over the
-    /// last N work units").
-    pub wall: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -110,7 +102,6 @@ impl Default for TelemetryConfig {
             latency_target: 8192,
             latency_budget: 0.10,
             admission_budget: 0.01,
-            wall: false,
         }
     }
 }
@@ -123,11 +114,6 @@ pub struct ServeConfig {
     /// Bound on queued (admitted, not yet started) requests; submitters block
     /// when the queue is full.
     pub queue_capacity: usize,
-    /// Coalesce queued requests against the same database into one
-    /// [`Purple::run_batch`] call.
-    pub batching: bool,
-    /// Largest batch one worker will take (min 1).
-    pub batch_max: usize,
     /// Record request-scoped span trees for sampled requests; `None` disables
     /// tracing entirely (zero overhead on the hot path).
     pub trace: Option<TraceConfig>,
@@ -140,8 +126,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: 64,
-            batching: true,
-            batch_max: 16,
             trace: None,
             telemetry: TelemetryConfig::default(),
         }
@@ -226,12 +210,9 @@ struct TelState {
     shed: u64,
 }
 
-/// Sliding windows and SLO trackers behind the `health` verb. Clock choice
-/// follows [`TelemetryConfig::wall`]: completed virtual work (deterministic
-/// per workload) or wall nanoseconds since server start (operational).
+/// Sliding windows and SLO trackers behind the `health` verb, clocked by
+/// completed virtual work (deterministic per workload).
 struct Telemetry {
-    cfg: TelemetryConfig,
-    start: Instant,
     state: Mutex<TelState>,
 }
 
@@ -244,7 +225,6 @@ impl Telemetry {
         };
         let window = || SlidingWindow::with_buckets(cfg.bucket_width, cfg.buckets);
         Telemetry {
-            start: Instant::now(),
             state: Mutex::new(TelState {
                 virt_now: 0,
                 latency: window(),
@@ -263,23 +243,6 @@ impl Telemetry {
                 completed: 0,
                 shed: 0,
             }),
-            cfg,
-        }
-    }
-
-    fn clock_name(&self) -> &'static str {
-        if self.cfg.wall {
-            "wall"
-        } else {
-            "virtual"
-        }
-    }
-
-    fn now(&self, st: &TelState) -> u64 {
-        if self.cfg.wall {
-            self.start.elapsed().as_nanos() as u64
-        } else {
-            st.virt_now
         }
     }
 
@@ -289,7 +252,7 @@ impl Telemetry {
         let mut st = self.state.lock().expect("telemetry poisoned");
         st.virt_now = st.virt_now.saturating_add(work);
         st.completed += 1;
-        let now = self.now(&st);
+        let now = st.virt_now;
         st.latency.observe(now, work);
         st.latency_slo.observe(now, work);
     }
@@ -297,7 +260,7 @@ impl Telemetry {
     /// One admitted submission: the admission SLO observes a pass.
     fn on_admit(&self) {
         let mut st = self.state.lock().expect("telemetry poisoned");
-        let now = self.now(&st);
+        let now = st.virt_now;
         st.admission_slo.observe(now, 0);
     }
 
@@ -305,7 +268,7 @@ impl Telemetry {
     fn on_shed(&self) {
         let mut st = self.state.lock().expect("telemetry poisoned");
         st.shed += 1;
-        let now = self.now(&st);
+        let now = st.virt_now;
         st.admission_slo.observe(now, 1);
     }
 
@@ -314,7 +277,7 @@ impl Telemetry {
     /// then telemetry lock, everywhere).
     fn on_queue_sample(&self, depth: u64, in_flight: u64) {
         let mut st = self.state.lock().expect("telemetry poisoned");
-        let now = self.now(&st);
+        let now = st.virt_now;
         st.queue_depth.observe(now, depth);
         st.in_flight.observe(now, in_flight);
     }
@@ -326,9 +289,8 @@ impl Telemetry {
 /// all-time.
 #[derive(Debug, Clone)]
 pub struct HealthSnapshot {
-    /// `"virtual"` or `"wall"` ([`TelemetryConfig::wall`]).
-    pub clock: &'static str,
-    /// Telemetry-clock position the windows were reduced at.
+    /// Telemetry-clock position (completed virtual work) the windows were
+    /// reduced at.
     pub now: u64,
     /// All-time completions.
     pub completed: u64,
@@ -403,36 +365,7 @@ impl SubmitHandle {
     /// [`SubmitError::UnknownDatabase`] for an out-of-range
     /// `spec.example.db_index` (checked here so workers never see one).
     pub fn submit(&self, req: Request, tx: Sender<Completion>) -> Result<(), SubmitError> {
-        let db_index = req.spec.example.db_index;
-        if db_index >= self.shared.databases {
-            return Err(SubmitError::UnknownDatabase {
-                db_index,
-                databases: self.shared.databases,
-            });
-        }
-        // Open the trace before admission: the `queue-wait` span then covers
-        // any time blocked on a full queue as well as the queued wait itself.
-        let trace = self.shared.sampler.filter(|s| s.admits(req.id)).map(|_| {
-            let rec = TraceRecorder::new(req.id);
-            let token = rec.start(QUEUE_WAIT_SPAN);
-            (rec, token)
-        });
-        let mut st = self.shared.state.lock().expect("serve queue poisoned");
-        loop {
-            if st.closed {
-                return Err(SubmitError::Closed);
-            }
-            if st.items.len() < self.shared.cfg.queue_capacity {
-                break;
-            }
-            st = self.shared.not_full.wait(st).expect("serve queue poisoned");
-        }
-        st.items.push_back(Item { req, tx, trace });
-        self.shared.publish_gauges(&st);
-        self.shared.not_empty.notify_one();
-        drop(st);
-        self.shared.telemetry.on_admit();
-        Ok(())
+        self.admit(req, tx, true)
     }
 
     /// Non-blocking admission: like [`SubmitHandle::submit`], but a full
@@ -442,33 +375,46 @@ impl SubmitHandle {
     /// server's own backpressure. Sheds count into
     /// [`Counter::RequestsShed`] and burn the admission SLO's error budget.
     pub fn try_submit(&self, req: Request, tx: Sender<Completion>) -> Result<(), SubmitError> {
+        self.admit(req, tx, false)
+    }
+
+    /// The one admission path behind [`SubmitHandle::submit`] and
+    /// [`SubmitHandle::try_submit`]; `block` says whether a full queue waits
+    /// for a slot or sheds the request.
+    fn admit(&self, req: Request, tx: Sender<Completion>, block: bool) -> Result<(), SubmitError> {
+        let shared = &*self.shared;
         let db_index = req.spec.example.db_index;
-        if db_index >= self.shared.databases {
-            return Err(SubmitError::UnknownDatabase {
-                db_index,
-                databases: self.shared.databases,
-            });
+        if db_index >= shared.databases {
+            return Err(SubmitError::UnknownDatabase { db_index, databases: shared.databases });
         }
-        let trace = self.shared.sampler.filter(|s| s.admits(req.id)).map(|_| {
+        // Open the trace before admission: the `queue-wait` span then covers
+        // any time blocked on a full queue as well as the queued wait itself.
+        let trace = shared.sampler.filter(|s| s.admits(req.id)).map(|_| {
             let rec = TraceRecorder::new(req.id);
             let token = rec.start(QUEUE_WAIT_SPAN);
             (rec, token)
         });
-        let mut st = self.shared.state.lock().expect("serve queue poisoned");
-        if st.closed {
-            return Err(SubmitError::Closed);
-        }
-        if st.items.len() >= self.shared.cfg.queue_capacity {
-            drop(st);
-            self.shared.metrics.count(Counter::RequestsShed, 1);
-            self.shared.telemetry.on_shed();
-            return Err(SubmitError::QueueFull);
+        let mut st = shared.state.lock().expect("serve queue poisoned");
+        loop {
+            if st.closed {
+                return Err(SubmitError::Closed);
+            }
+            if st.items.len() < shared.cfg.queue_capacity {
+                break;
+            }
+            if !block {
+                drop(st);
+                shared.metrics.count(Counter::RequestsShed, 1);
+                shared.telemetry.on_shed();
+                return Err(SubmitError::QueueFull);
+            }
+            st = shared.not_full.wait(st).expect("serve queue poisoned");
         }
         st.items.push_back(Item { req, tx, trace });
-        self.shared.publish_gauges(&st);
-        self.shared.not_empty.notify_one();
+        shared.publish_gauges(&st);
+        shared.not_empty.notify_one();
         drop(st);
-        self.shared.telemetry.on_admit();
+        shared.telemetry.on_admit();
         Ok(())
     }
 
@@ -507,7 +453,7 @@ impl SubmitHandle {
         let snap = self.shared.metrics.snapshot();
         let tel = &self.shared.telemetry;
         let mut st = tel.state.lock().expect("telemetry poisoned");
-        let now = tel.now(&st);
+        let now = st.virt_now;
         let latency = st.latency.snapshot(now);
         let queue_window = st.queue_depth.snapshot(now);
         let in_flight_window = st.in_flight.snapshot(now);
@@ -516,7 +462,6 @@ impl SubmitHandle {
         let episodes = st.latency_slo.episodes() + st.admission_slo.episodes();
         let verdict = latency_slo.verdict.worst(admission_slo.verdict);
         HealthSnapshot {
-            clock: tel.clock_name(),
             now,
             completed: st.completed,
             shed: st.shed,
@@ -565,11 +510,10 @@ fn slo_status_json(s: &SloStatus) -> String {
 pub fn health_to_json(h: &HealthSnapshot) -> String {
     let slos: Vec<String> = h.slos.iter().map(slo_status_json).collect();
     format!(
-        "{{\"clock\":{},\"now\":{},\"completed\":{},\"shed\":{},\
+        "{{\"now\":{},\"completed\":{},\"shed\":{},\
          \"queue\":{{\"depth\":{},\"in_flight\":{},\"depth_hwm\":{},\"in_flight_hwm\":{},\
          \"window_depth_hwm\":{},\"window_in_flight_hwm\":{}}},\
          \"latency\":{},\"slos\":[{}],\"episodes\":{},\"verdict\":{}}}",
-        json_escape(h.clock),
         h.now,
         h.completed,
         h.shed,
@@ -605,7 +549,6 @@ impl Server {
     ) -> Server {
         let cfg = ServeConfig {
             workers: cfg.workers.max(1),
-            batch_max: cfg.batch_max.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
             ..cfg
         };
@@ -665,80 +608,49 @@ impl Server {
     }
 }
 
-/// One worker: dequeue a request, coalesce queued same-database requests into
-/// its batch, translate via [`Purple::run_batch`], route completions back.
+/// One worker: dequeue one request, translate it with [`Purple::run`] (through
+/// its [`eval::Translator`] impl), and send its completion at once.
 fn worker_loop(shared: &Shared, purple: &Purple, bench: &Benchmark) {
     loop {
-        let batch = {
+        let item = {
             let mut st = shared.state.lock().expect("serve queue poisoned");
-            loop {
-                if !st.items.is_empty() {
-                    break;
+            let item = loop {
+                if let Some(item) = st.items.pop_front() {
+                    break item;
                 }
                 if st.closed {
                     return;
                 }
                 st = shared.not_empty.wait(st).expect("serve queue poisoned");
-            }
-            let first = st.items.pop_front().expect("non-empty queue");
-            let mut batch = vec![first];
-            if shared.cfg.batching {
-                // Scan the whole queue, not just the head: requests for the
-                // same database coalesce even when interleaved with others.
-                let db = batch[0].req.spec.example.db_index;
-                let mut i = 0;
-                while batch.len() < shared.cfg.batch_max && i < st.items.len() {
-                    if st.items[i].req.spec.example.db_index == db {
-                        batch.push(st.items.remove(i).expect("index in bounds"));
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            st.in_flight += batch.len();
+            };
+            st.in_flight += 1;
             shared.publish_gauges(&st);
-            shared.not_full.notify_all();
-            batch
+            shared.not_full.notify_one();
+            item
         };
-        // Dequeue closes each traced item's `queue-wait` span and stamps a
-        // `batch-coalesce` leaf. Both declare zero virtual work — a batch of
-        // one is still a batch — so the virtual timeline (and the exported
-        // trace) is identical whatever the interleaving or batching mode;
-        // only their wall-clock columns show the real scheduling.
-        for it in &batch {
-            if let Some((rec, token)) = &it.trace {
-                rec.finish(*token, 0);
-                rec.leaf(BATCH_SPAN, 0);
-            }
+        // Dequeue closes a traced item's `queue-wait` span. It declares zero
+        // virtual work, so the virtual timeline (and the exported trace) is
+        // identical whatever the interleaving; only its wall-clock columns
+        // show the real scheduling.
+        let tracer = item.trace.as_ref().map(|(rec, token)| {
+            rec.finish(*token, 0);
+            rec
+        });
+        let db = &bench.databases[item.req.spec.example.db_index];
+        let outcome = eval::Translator::run(purple, item.req.spec.as_job(db).with_tracer(tracer));
+        let response = Response::from_outcome(&item.req, &outcome);
+        // Publish the finished span tree before the completion: a client
+        // that has seen its response can already observe its trace.
+        if let Some((rec, _)) = item.trace {
+            shared.trace_sink.publish(rec);
         }
-        let jobs: Vec<eval::Job<'_>> = batch
-            .iter()
-            .map(|it| {
-                it.req
-                    .spec
-                    .as_job(&bench.databases[it.req.spec.example.db_index])
-                    .with_tracer(it.trace.as_ref().map(|(rec, _)| rec))
-            })
-            .collect();
-        let outcomes = purple.run_batch(&jobs);
-        drop(jobs);
-        let batch_len = batch.len();
-        for (item, out) in batch.into_iter().zip(outcomes) {
-            let outcome = eval::RunOutcome { translation: out.translation, metrics: out.metrics };
-            let response = Response::from_outcome(&item.req, &outcome);
-            // Publish the finished span tree before the completion: a client
-            // that has seen its response can already observe its trace.
-            if let Some((rec, _)) = item.trace {
-                shared.trace_sink.publish(rec);
-            }
-            // Feed telemetry before the completion too, so a client that has
-            // seen its response finds it reflected in the `health` verb.
-            shared.telemetry.on_complete(outcome.metrics.report_work());
-            // A client that hung up just discards its completions.
-            let _ = item.tx.send(Completion { response, outcome });
-        }
+        // Feed telemetry before the completion too, so a client that has
+        // seen its response finds it reflected in the `health` verb.
+        shared.telemetry.on_complete(outcome.metrics.report_work());
+        // A client that hung up just discards its completion.
+        let _ = item.tx.send(Completion { response, outcome });
         let mut st = shared.state.lock().expect("serve queue poisoned");
-        st.in_flight -= batch_len;
+        st.in_flight -= 1;
         shared.publish_gauges(&st);
     }
 }
@@ -887,13 +799,16 @@ pub fn serve_tcp(handle: SubmitHandle, listener: TcpListener) -> io::Result<()> 
     Ok(())
 }
 
-/// Deterministic splitmix64 step (stub-independent, like the harness seeds).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+/// Seeded Fisher–Yates shuffle. Its `k`-th draw is
+/// `splitmix64(seed + (k - 1) * 0x9e37_79b9_7f4a_7c15)`: the stream a stateful
+/// splitmix64 generator seeded with `seed` yields.
+pub(crate) fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed;
+    for i in (1..items.len()).rev() {
+        let j = (splitmix64(state) % (i as u64 + 1)) as usize;
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        items.swap(i, j);
+    }
 }
 
 /// Build a seeded request stream: `count` requests cycling the split's
@@ -910,11 +825,7 @@ pub fn synth_requests(bench: &Benchmark, count: usize, arrival_seed: u64) -> Vec
             Request::new(i as u64, eval::JobSpec::of(idx, &bench.examples[idx]))
         })
         .collect();
-    let mut state = arrival_seed;
-    for i in (1..reqs.len()).rev() {
-        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-        reqs.swap(i, j);
-    }
+    shuffle(&mut reqs, arrival_seed);
     reqs
 }
 
@@ -1229,21 +1140,24 @@ mod tests {
     }
 
     #[test]
-    fn batching_is_invisible_in_results_and_gauges_settle() {
+    fn one_worker_runs_one_request_at_a_time_and_gauges_settle() {
         let fx = fixture();
-        let run = |cfg: ServeConfig| {
-            let server = start(&fx, cfg);
-            let reqs = synth_requests(&fx.bench, fx.bench.examples.len(), 3);
-            let (mut completions, _) = run_load(&server.handle(), reqs).expect("load");
-            server.shutdown();
-            completions.sort_by_key(|c| c.response.id);
-            completions.iter().map(|c| response_to_json(&c.response)).collect::<Vec<_>>()
-        };
-        let batched = run(ServeConfig { workers: 2, batching: true, ..ServeConfig::default() });
-        let unbatched = run(ServeConfig { workers: 2, batching: false, ..ServeConfig::default() });
-        assert_eq!(batched, unbatched);
+        let server = start(&fx, ServeConfig { workers: 1, ..ServeConfig::default() });
+        let reqs = synth_requests(&fx.bench, fx.bench.examples.len(), 3);
+        let (completions, _) = run_load(&server.handle(), reqs).expect("load drives clean");
+        server.shutdown();
+        assert_eq!(completions.len(), fx.bench.examples.len());
         let snap = fx.metrics.snapshot();
+        assert!(snap.gauge(Gauge::QueueDepthHwm).unwrap_or(0) > 1, "requests queued up");
+        assert_eq!(snap.gauge(Gauge::InFlightHwm), Some(1), "one request per worker");
         assert_eq!(snap.gauge(Gauge::QueueDepth).unwrap_or(0), 0, "queue drains by shutdown");
         assert_eq!(snap.gauge(Gauge::InFlight).unwrap_or(0), 0, "no work left in flight");
+    }
+
+    #[test]
+    fn synthesized_arrival_order_is_pinned() {
+        let bench = generate_suite(&GenConfig::tiny(4242)).dev;
+        let ids: Vec<u64> = synth_requests(&bench, 40, 9).iter().map(|r| r.id).collect();
+        assert_eq!(ids[..12], [39, 32, 6, 14, 0, 19, 1, 12, 20, 33, 16, 29]);
     }
 }

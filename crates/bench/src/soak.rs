@@ -19,8 +19,8 @@
 //! cohort. The cost table ([`warmup_costs`]) is primed by one sequential
 //! pass over the split before any concurrent traffic, so it — and therefore
 //! every `virt_*` column and `virt_work` — is byte-identical for any worker
-//! count, arrival seed, or batching mode ([`virt_prefix`] isolates that
-//! prefix of a timeline line).
+//! count or arrival seed ([`virt_prefix`] isolates that prefix of a timeline
+//! line).
 //!
 //! The measured columns (`completed`, `shed`, `wall_ms`, the windowed
 //! high-watermarks, the verdict) are operational: they depend on real
@@ -28,7 +28,7 @@
 //! submission order *within* each tick only, so it perturbs the measured
 //! columns without touching cohort membership.
 
-use crate::serve::{Completion, HealthSnapshot, SubmitError, SubmitHandle};
+use crate::serve::{shuffle, Completion, HealthSnapshot, SubmitError, SubmitHandle};
 use obs::{SlidingWindow, SloVerdict, WindowStats};
 use purple::Purple;
 use spidergen::Benchmark;
@@ -145,15 +145,6 @@ pub fn warmup_costs(purple: &Purple, bench: &Benchmark) -> Vec<u64> {
         .collect()
 }
 
-/// Deterministic splitmix64 step (same generator as the serve harness).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Exact percentile statistics over one cohort's offered costs, reusing the
 /// window machinery (single bucket, cap sized to the cohort → no sampling).
 fn cohort_stats(costs: &[u64], id_lo: u64, id_hi: u64) -> WindowStats {
@@ -211,11 +202,7 @@ pub fn run_soak(
         // Within-tick arrival shuffle: cohort membership is fixed, order is
         // seeded per tick.
         let mut ids: Vec<u64> = (id_lo..id_hi).collect();
-        let mut state = cfg.arrival_seed ^ k.wrapping_mul(0x9e3779b97f4a7c15);
-        for i in (1..ids.len()).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
-            ids.swap(i, j);
-        }
+        shuffle(&mut ids, cfg.arrival_seed ^ k.wrapping_mul(0x9e3779b97f4a7c15));
         let tick_start = t0 + tick.mul_f64(k as f64);
         let wall0 = Instant::now();
         for (j, &seq) in ids.iter().enumerate() {

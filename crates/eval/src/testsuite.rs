@@ -385,20 +385,19 @@ mod tests {
         let coincident = parse("SELECT name FROM t WHERE grp = 'x'").unwrap();
         // EX-equal on the original instance:
         assert!(crate::metrics::ex_match(&coincident, &gold, &db));
-        // The suite (driven by the gold itself as probe) should separate them with
-        // high probability.
-        let suite = build_suite(
-            &db,
-            &[&gold, &coincident],
-            SuiteConfig { candidates: 60, max_kept: 12, probe_queries: 8 },
-            1234,
-        );
-        assert!(suite.databases.len() > 1, "distillation kept no fuzzed instance");
-        assert!(ts_match(&gold, &gold, &suite));
-        assert!(
-            !ts_match(&coincident, &gold, &suite),
-            "suite failed to distinguish coincident query"
-        );
+        // Distillation keeps instances until every neighbor of a probe dies,
+        // and `grp = 'x'` is no neighbor of `id < 3`: whether one suite
+        // separates the two depends on its seed, so the claim is a rate. Over
+        // seeds 0..200 the suites separate them 162 times.
+        let cfg = SuiteConfig { candidates: 60, max_kept: 12, probe_queries: 8 };
+        let mut separated = 0;
+        for seed in 0..200 {
+            let suite = build_suite(&db, &[&gold, &coincident], cfg, seed);
+            assert!(suite.databases.len() > 1, "seed {seed}: distillation kept no fuzzed instance");
+            assert!(ts_match(&gold, &gold, &suite));
+            separated += usize::from(!ts_match(&coincident, &gold, &suite));
+        }
+        assert!(separated >= 140, "suites separated the coincident query on {separated}/200 seeds");
     }
 
     #[test]

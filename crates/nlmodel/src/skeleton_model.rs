@@ -155,29 +155,34 @@ mod tests {
 
     #[test]
     fn predictor_has_useful_topk_recall_on_dev() {
-        let suite = generate_suite(&GenConfig::tiny(41));
-        let model = SkeletonPredictor::train(&suite.train);
-        assert!(model.vocabulary_size() > 10);
-        let mut top1 = 0usize;
-        let mut top3 = 0usize;
-        for ex in &suite.dev.examples {
-            let db = suite.dev.db_of(ex);
-            let gold = Skeleton::from_query(&ex.query);
-            let preds = model.predict(&ex.nl, db, 3);
-            if preds.first().map(|p| p.skeleton == gold).unwrap_or(false) {
-                top1 += 1;
+        // Recall on one tiny dev split (40 examples) swings with the seed, so
+        // the claim pools the dev examples of the tiny seeds 30..60: 1,200
+        // examples, top-1 recall 0.383 and top-3 recall 0.548.
+        let (mut n, mut top1, mut top3) = (0usize, 0usize, 0usize);
+        for seed in 30..60 {
+            let suite = generate_suite(&GenConfig::tiny(seed));
+            let model = SkeletonPredictor::train(&suite.train);
+            assert!(model.vocabulary_size() > 10);
+            let mut seed_top3 = 0usize;
+            for ex in &suite.dev.examples {
+                let db = suite.dev.db_of(ex);
+                let gold = Skeleton::from_query(&ex.query);
+                let preds = model.predict(&ex.nl, db, 3);
+                top1 += usize::from(preds.first().is_some_and(|p| p.skeleton == gold));
+                seed_top3 += usize::from(preds.iter().any(|p| p.skeleton == gold));
             }
-            if preds.iter().any(|p| p.skeleton == gold) {
-                top3 += 1;
-            }
+            assert!(
+                seed_top3 < suite.dev.examples.len(),
+                "seed {seed}: perfect recall would make the oracle ablation vacuous"
+            );
+            n += suite.dev.examples.len();
+            top3 += seed_top3;
         }
-        let n = suite.dev.examples.len();
         let t1 = top1 as f64 / n as f64;
         let t3 = top3 as f64 / n as f64;
         assert!(t3 >= t1);
-        assert!(t1 > 0.25, "top-1 skeleton recall too low: {t1:.2}");
-        assert!(t3 > 0.40, "top-3 skeleton recall too low: {t3:.2}");
-        assert!(t3 < 1.0, "perfect recall would make the oracle ablation vacuous");
+        assert!(t1 > 0.30, "pooled top-1 skeleton recall too low: {t1:.3}");
+        assert!(t3 > 0.45, "pooled top-3 skeleton recall too low: {t3:.3}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Request-scoped hierarchical tracing (DESIGN.md §14).
 //!
 //! A [`TraceRecorder`] captures one request's span tree: every instrumented
-//! scope — admission queue wait, batch coalescing, each pipeline
+//! scope — admission queue wait, each pipeline
 //! [`Stage`](crate::Stage), the LLM call, adaption, the consistency vote, and
 //! individual statement executions — becomes a [`SpanRecord`] with a
 //! parent/child causal edge to the span that was open when it started.
@@ -11,9 +11,9 @@
 //! * a *virtual* timeline on the work-unit clock ([`Clock::Virtual`]): each
 //!   trace starts at cursor 0 and every `finish(work)` advances the cursor by
 //!   the declared work, so span start/end offsets are a pure function of the
-//!   request — byte-identical for any worker count, arrival order, or batching
-//!   mode. Scheduling-dependent scopes (queue wait, batch coalescing) declare
-//!   zero work, so their presence never perturbs the virtual timeline.
+//!   request — byte-identical for any worker count or arrival order. The
+//!   scheduling-dependent scope (queue wait) declares zero work, so its
+//!   presence never perturbs the virtual timeline.
 //! * a *wall* timeline in monotonic nanoseconds since the recorder was created
 //!   (admission time), so queue wait and real stage latencies are measurable.
 //!   Wall data is interleaving-dependent and therefore confined to stdout
@@ -53,8 +53,8 @@ pub const ROOT_SPAN: &str = "request";
 /// Name of the admission-queue wait span (virtual work 0).
 pub const QUEUE_WAIT_SPAN: &str = "queue-wait";
 
-/// Name of the batch-coalesce span shared by coalesced requests (virtual
-/// work 0).
+/// Name of the retired batch-coalesce span. The server no longer records it;
+/// it stays exported because `perfbench`'s span rollup still matches on it.
 pub const BATCH_SPAN: &str = "batch-coalesce";
 
 /// Name of a single statement-execution span recorded by the engine.
@@ -67,8 +67,8 @@ pub struct SpanRecord {
     pub id: SpanId,
     /// Span that was open when this one started (`None` for the root).
     pub parent: Option<SpanId>,
-    /// Static span name: [`ROOT_SPAN`], [`QUEUE_WAIT_SPAN`], [`BATCH_SPAN`],
-    /// [`EXEC_SPAN`], or a [`Stage::name`](crate::Stage::name).
+    /// Static span name: [`ROOT_SPAN`], [`QUEUE_WAIT_SPAN`], [`EXEC_SPAN`],
+    /// or a [`Stage::name`](crate::Stage::name).
     pub name: &'static str,
     /// Virtual-cursor value when the span opened.
     pub start: u64,
@@ -345,8 +345,8 @@ pub struct DrainedTraces {
 
 /// Render drained traces as Chrome trace-event JSON (`chrome://tracing`,
 /// Perfetto). With `wall: false` (the default export) span `ts`/`dur` are
-/// virtual work units — byte-identical for any worker count, arrival order,
-/// or batching mode. With `wall: true` they are wall microseconds since each
+/// virtual work units — byte-identical for any worker count or arrival
+/// order. With `wall: true` they are wall microseconds since each
 /// request's admission (interleaving-dependent; opt-in only).
 pub fn to_chrome_trace(drained: &DrainedTraces, wall: bool) -> String {
     let mut out = String::with_capacity(256 + drained.traces.len() * 512);

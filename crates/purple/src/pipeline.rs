@@ -298,32 +298,6 @@ impl Purple {
     /// returned [`RunOutcome::metrics`] is the complete per-run snapshot, and a
     /// trace is captured when [`Job::with_trace`] asks for one.
     pub fn run(&self, job: Job<'_>) -> RunOutcome {
-        self.run_with_pruner(job, None)
-    }
-
-    /// Translate a batch of jobs, building the schema pruner once and sharing
-    /// it across every job — the serving path's coalescing optimization for
-    /// requests against the same database fingerprint.
-    ///
-    /// The pruner is a pure function of the trained classifier and the prune
-    /// config, and pruning itself is a pure function of `(nl, db)`, so batched
-    /// outcomes are byte-identical to per-job [`Purple::run`] calls; only the
-    /// construction cost is amortized. Jobs need not actually share a
-    /// database — sharing is what makes the amortization *useful*, not what
-    /// makes it correct.
-    pub fn run_batch(&self, jobs: &[Job<'_>]) -> Vec<RunOutcome> {
-        let pruner =
-            self.cfg.use_pruning.then(|| SchemaPruner::new(&self.classifier, self.cfg.prune));
-        jobs.iter().map(|job| self.run_with_pruner(*job, pruner.as_ref())).collect()
-    }
-
-    /// The full pipeline for one job, optionally reusing a caller-built
-    /// pruner (see [`Purple::run_batch`]).
-    fn run_with_pruner(
-        &self,
-        job: Job<'_>,
-        shared_pruner: Option<&SchemaPruner<'_>>,
-    ) -> RunOutcome {
         let (ex, db) = (job.example, job.db);
         let seed = job.seed(self.cfg.seed);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -338,15 +312,7 @@ impl Purple {
         let mut recall_noise = 0.0;
         let mut recall_covered = true;
         let pruned = if self.cfg.use_pruning {
-            let built;
-            let pruner = match shared_pruner {
-                Some(p) => p,
-                None => {
-                    built = SchemaPruner::new(&self.classifier, self.cfg.prune);
-                    &built
-                }
-            };
-            let pruned = pruner.prune(&ex.nl, db);
+            let pruned = SchemaPruner::new(&self.classifier, self.cfg.prune).prune(&ex.nl, db);
             let used = nlmodel::used_items(&ex.query, &db.schema);
             if !pruned.covers(&used.tables, &used.columns) {
                 recall_noise = 0.30;

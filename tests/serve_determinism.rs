@@ -1,7 +1,7 @@
 //! Serving-layer determinism contract: the same request set pushed through
-//! the concurrent front-end at any worker count, in any arrival order, with
-//! batching on or off, yields byte-identical response bodies — and the
-//! report replayed from served traffic is byte-identical to a sequential
+//! the concurrent front-end at any worker count and in any arrival order
+//! yields byte-identical response bodies — and the report replayed from
+//! served traffic is byte-identical to a sequential
 //! [`evaluate_with_session`] pass over the same translator.
 
 use bench_harness::serve::{replay_report, run_load, synth_requests, ServeConfig, Server};
@@ -29,15 +29,8 @@ fn fixture() -> Fixture {
 /// Drive the same id-stable request set (cycling every dev example, arrival
 /// order shuffled by `arrival_seed`) through one server configuration and
 /// return (response bodies sorted by id, replayed report JSON).
-fn serve_once(fx: &Fixture, workers: usize, batching: bool, arrival_seed: u64) -> (String, String) {
-    let cfg = ServeConfig {
-        workers,
-        batching,
-        queue_capacity: 8,
-        batch_max: 6,
-        trace: None,
-        ..ServeConfig::default()
-    };
+fn serve_once(fx: &Fixture, workers: usize, arrival_seed: u64) -> (String, String) {
+    let cfg = ServeConfig { workers, queue_capacity: 8, trace: None, ..ServeConfig::default() };
     let server = Server::start(fx.purple.clone(), fx.bench.clone(), fx.metrics.clone(), cfg);
     let requests = synth_requests(&fx.bench, fx.bench.examples.len() + 8, arrival_seed);
     let (mut completions, stats) = run_load(&server.handle(), requests).expect("load drives clean");
@@ -58,18 +51,11 @@ fn serve_once(fx: &Fixture, workers: usize, batching: bool, arrival_seed: u64) -
 #[test]
 fn any_worker_count_and_arrival_order_is_byte_identical() {
     let fx = fixture();
-    let (ref_bodies, ref_report) = serve_once(&fx, 1, true, 0xA11);
-    for (workers, batching, arrival_seed) in [(4, true, 0xB22), (8, true, 0xC33), (4, false, 0xD44)]
-    {
-        let (bodies, report) = serve_once(&fx, workers, batching, arrival_seed);
-        assert_eq!(
-            ref_bodies, bodies,
-            "response bodies diverged at workers={workers} batching={batching}"
-        );
-        assert_eq!(
-            ref_report, report,
-            "replayed report diverged at workers={workers} batching={batching}"
-        );
+    let (ref_bodies, ref_report) = serve_once(&fx, 1, 0xA11);
+    for (workers, arrival_seed) in [(4, 0xB22), (8, 0xC33), (4, 0xD44)] {
+        let (bodies, report) = serve_once(&fx, workers, arrival_seed);
+        assert_eq!(ref_bodies, bodies, "response bodies diverged at workers={workers}");
+        assert_eq!(ref_report, report, "replayed report diverged at workers={workers}");
     }
     // And the served report is the sequential evaluation, byte for byte.
     let direct = evaluate_with_session(fx.purple.as_ref(), &fx.bench, None, &fx.session);

@@ -63,7 +63,6 @@ fn saturated_queue_sheds_and_health_degrades() {
     // Probe health while the shed burst is still inside the window: the
     // admission SLO (target 0, tight budget) must be burning.
     let h = handle.health();
-    assert_eq!(h.clock, "virtual");
     assert_eq!(h.shed, shed);
     assert!(h.queue_depth_hwm >= 1, "hwm gauge saw the queue fill");
     assert_ne!(h.verdict, SloVerdict::Healthy, "overload must not read as healthy");
@@ -73,7 +72,7 @@ fn saturated_queue_sheds_and_health_degrades() {
     assert!(h.episodes >= 1, "the overload transition is an episode");
     // The verb body is one JSON object carrying the same verdict.
     let json = handle.health_json();
-    assert!(json.starts_with("{\"clock\":\"virtual\",\"now\":"), "health json shape: {json}");
+    assert!(json.starts_with("{\"now\":"), "health json shape: {json}");
     assert!(json.contains("\"slos\":[{\"name\":\"translate_latency\""), "slo order: {json}");
     // Drain the admitted requests, then check the all-time shed accounting.
     drop(tx);

@@ -1,7 +1,7 @@
 //! Trace-determinism contract (DESIGN.md §14): under the virtual work-unit
 //! clock, the Chrome trace JSON exported from served traffic is
-//! byte-identical for any worker count, any arrival order, and with batching
-//! on or off — and every served request's span tree covers queue wait plus
+//! byte-identical for any worker count and any arrival order — and every
+//! served request's span tree covers queue wait plus
 //! every executed pipeline stage with consistent parent/child edges.
 
 use bench_harness::serve::{run_load, synth_requests, ServeConfig, Server, TraceConfig};
@@ -28,17 +28,10 @@ fn fixture() -> Fixture {
 
 /// Serve every dev example (plus a few repeats) through one configuration
 /// with tracing on, and return the drained traces plus their Chrome export.
-fn trace_once(
-    fx: &Fixture,
-    workers: usize,
-    batching: bool,
-    arrival_seed: u64,
-) -> (obs::DrainedTraces, String) {
+fn trace_once(fx: &Fixture, workers: usize, arrival_seed: u64) -> (obs::DrainedTraces, String) {
     let cfg = ServeConfig {
         workers,
-        batching,
         queue_capacity: 8,
-        batch_max: 6,
         trace: Some(TraceConfig::default()),
         ..ServeConfig::default()
     };
@@ -57,22 +50,18 @@ fn trace_once(
 #[test]
 fn chrome_export_is_byte_identical_across_schedules() {
     let fx = fixture();
-    let (ref_drained, ref_json) = trace_once(&fx, 1, true, 0xA11);
+    let (ref_drained, ref_json) = trace_once(&fx, 1, 0xA11);
     assert_eq!(ref_drained.traces.len(), fx.bench.examples.len() + 8, "sample=1 keeps all");
-    for (workers, batching, arrival_seed) in [(4, true, 0xB22), (8, true, 0xC33), (4, false, 0xD44)]
-    {
-        let (_, json) = trace_once(&fx, workers, batching, arrival_seed);
-        assert_eq!(
-            ref_json, json,
-            "trace export diverged at workers={workers} batching={batching}"
-        );
+    for (workers, arrival_seed) in [(4, 0xB22), (8, 0xC33), (4, 0xD44)] {
+        let (_, json) = trace_once(&fx, workers, arrival_seed);
+        assert_eq!(ref_json, json, "trace export diverged at workers={workers}");
     }
 }
 
 #[test]
 fn every_span_tree_covers_queue_wait_and_all_stages() {
     let fx = fixture();
-    let (drained, _) = trace_once(&fx, 4, true, 0x5EED);
+    let (drained, _) = trace_once(&fx, 4, 0x5EED);
     assert_eq!(drained.dropped_traces, 0);
     assert_eq!(drained.dropped_spans, 0);
     for trace in &drained.traces {
@@ -97,13 +86,12 @@ fn every_span_tree_covers_queue_wait_and_all_stages() {
                 );
             }
         }
-        // Queue wait, the coalesce marker, and every pipeline stage appear;
+        // Queue wait and every pipeline stage appear;
         // the stage spans hang off the root, and exec leaves nest under the
         // adaption/vote spans that issued them.
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         for required in [
             "queue-wait",
-            "batch-coalesce",
             obs::Stage::SchemaPruning.name(),
             obs::Stage::SkeletonPrediction.name(),
             obs::Stage::DemoSelection.name(),
@@ -120,9 +108,9 @@ fn every_span_tree_covers_queue_wait_and_all_stages() {
         }
         for span in &trace.spans {
             match span.name {
-                "queue-wait" | "batch-coalesce" => {
-                    assert_eq!(span.parent, Some(roots[0].id), "{} parents to root", span.name);
-                    assert_eq!(span.virt(), 0, "{} declares no virtual work", span.name);
+                "queue-wait" => {
+                    assert_eq!(span.parent, Some(roots[0].id), "queue-wait parents to root");
+                    assert_eq!(span.virt(), 0, "queue-wait declares no virtual work");
                 }
                 "exec" => {
                     let p = by_id[&span.parent.expect("exec spans are never roots")];
