@@ -34,6 +34,10 @@ cache)
     "$REPRO" --scale tiny --jobs 2 --metrics "$work/cached.json"
     "$REPRO" --scale tiny --jobs 2 --metrics "$work/uncached.json" --no-exec-cache
     cmp "$work/cached.json" "$work/uncached.json"
+    # The metrics JSON holds no TS verdict; Table 4's printed EM/EX/TS does.
+    "$REPRO" --scale tiny --only table4 --jobs 2 >"$work/table4-cached.txt"
+    "$REPRO" --scale tiny --only table4 --jobs 2 --no-exec-cache >"$work/table4-uncached.txt"
+    cmp "$work/table4-cached.txt" "$work/table4-uncached.txt"
     ;;
 exec-bench)
     # 1. The engine matches the reference interpreter on the bench mix, plus

@@ -191,33 +191,46 @@ impl Translator for PlmTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval::evaluate;
+    use eval::{build_suites, evaluate, SuiteConfig};
     use nlmodel::SkeletonPredictor;
     use spidergen::{generate_suite, GenConfig};
 
     #[test]
-    fn plm_rows_have_high_em_and_larger_ex_minus_ts_gap() {
+    fn plm_rows_have_high_em_and_ts_at_most_ex() {
         // On one tiny dev split (40 examples) the two presets' EM differ by
-        // less than the sampling noise, so the claim pools the tiny seeds
-        // 50..80: 1,200 examples, RESDSQL 806 EM hits and PICARD 748.
-        let (mut n, mut resdsql_em, mut picard_em) = (0usize, 0usize, 0usize);
+        // less than the sampling noise, so the claims pool the tiny seeds
+        // 50..80: 1,200 examples, RESDSQL 806 EM hits and PICARD 748. Table 4
+        // scores TS at or below EX for every row (pooled here: RESDSQL EX
+        // 82.7%, TS 79.1%; PICARD 79.8%, 74.8%). The size of the EX-TS gap is
+        // not claimed: ours is smaller for the PLM rows than for PURPLE.
+        let (mut n, mut em, mut ex, mut ts) = (0usize, [0usize; 2], [0usize; 2], [0usize; 2]);
         for seed in 50..80 {
             let suite = generate_suite(&GenConfig::tiny(seed));
+            let suites = build_suites(&suite.dev, SuiteConfig::default(), seed);
             let predictor = Arc::new(SkeletonPredictor::train(&suite.train));
-            let r = evaluate(&PlmTranslator::new(RESDSQL, predictor.clone()), &suite.dev, None);
-            let rp = evaluate(&PlmTranslator::new(PICARD, predictor), &suite.dev, None);
-            n += r.overall.n;
-            resdsql_em += r.overall.em;
-            picard_em += rp.overall.em;
+            for (row, cfg) in [RESDSQL, PICARD].into_iter().enumerate() {
+                let r = evaluate(
+                    &PlmTranslator::new(cfg, predictor.clone()),
+                    &suite.dev,
+                    Some(&suites),
+                );
+                em[row] += r.overall.em;
+                ex[row] += r.overall.ex;
+                ts[row] += r.overall.ts;
+            }
+            n += suite.dev.examples.len();
         }
         let pct = |hits: usize| 100.0 * hits as f64 / n as f64;
-        assert!(pct(resdsql_em) > 60.0, "RESDSQL EM too low: {:.1}", pct(resdsql_em));
+        assert!(pct(em[0]) > 60.0, "RESDSQL EM too low: {:.1}", pct(em[0]));
         assert!(
-            resdsql_em >= picard_em,
+            em[0] >= em[1],
             "RESDSQL {:.1} should be at least PICARD {:.1}",
-            pct(resdsql_em),
-            pct(picard_em)
+            pct(em[0]),
+            pct(em[1])
         );
+        for (row, name) in ["RESDSQL", "PICARD"].iter().enumerate() {
+            assert!(ts[row] <= ex[row], "{name}: TS {} above EX {}", pct(ts[row]), pct(ex[row]));
+        }
     }
 
     #[test]

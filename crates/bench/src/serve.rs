@@ -424,7 +424,7 @@ impl SubmitHandle {
     /// translator runs through a shared [`ExecSession`], and trace/event
     /// sink loss counters). This is the body of the `{"cmd":"metrics"}` wire
     /// verb.
-    pub fn metrics_exposition(&self) -> String {
+    fn metrics_exposition(&self) -> String {
         let snap = self.shared.metrics.snapshot();
         let (cache, ops) = match &self.shared.session {
             Some(s) => (Some(s.stats()), Some(s.op_stats())),
@@ -507,7 +507,7 @@ fn slo_status_json(s: &SloStatus) -> String {
 }
 
 /// Render a [`HealthSnapshot`] as the `health` verb's JSON body.
-pub fn health_to_json(h: &HealthSnapshot) -> String {
+fn health_to_json(h: &HealthSnapshot) -> String {
     let slos: Vec<String> = h.slos.iter().map(slo_status_json).collect();
     format!(
         "{{\"now\":{},\"completed\":{},\"shed\":{},\

@@ -72,11 +72,18 @@ fn rows_close(a: &Row, b: &Row) -> bool {
 }
 
 /// Cell comparison with relative tolerance for floats (AVG results etc.).
+///
+/// Numbers with identical bits are close before any tolerance applies, so a
+/// cell is always close to itself, NaN and ±inf included (where the tolerance
+/// test alone is false). That makes [`ResultSet::same_result`] reflexive,
+/// which TS scoring relies on to accept a prediction that prints as the gold
+/// query without executing either.
 fn values_close(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
         (Value::Text(x), Value::Text(y)) => x == y,
         _ => match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) if x.to_bits() == y.to_bits() => true,
             (Some(x), Some(y)) => {
                 let scale = x.abs().max(y.abs()).max(1.0);
                 (x - y).abs() <= 1e-6 * scale

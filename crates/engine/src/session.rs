@@ -357,17 +357,6 @@ impl<'s, 'd> SessionDb<'s, 'd> {
         self.session
     }
 
-    /// Prepare a query, memoized by `(db fingerprint, canonical SQL)`.
-    pub fn prepare(&self, q: &Query) -> Result<Arc<Plan>, ExecError> {
-        if !self.session.is_enabled() {
-            return exec::prepare(self.db, q).map(Arc::new);
-        }
-        let key = (self.fp, q.to_string());
-        lookup(&self.session.plans, &self.session.counters.plan, key, || {
-            exec::prepare(self.db, q).map(Arc::new)
-        })
-    }
-
     /// Execute a query, memoized by `(db fingerprint, canonical SQL)`. Misses
     /// go through the plan cache, so re-executing a query against a mutated
     /// database recompiles at most once.

@@ -370,6 +370,67 @@ fn same_result_float_tolerance() {
 }
 
 #[test]
+fn same_result_is_reflexive_on_every_cell_kind() {
+    let f = Value::Float;
+    let cells = [
+        f(f64::NAN),
+        f(-f64::NAN),
+        f(f64::INFINITY),
+        f(f64::NEG_INFINITY),
+        f(-0.0),
+        f(0.0),
+        Value::Null,
+        Value::Int(3),
+        f(3.0),
+        Value::Int(i64::MIN),
+        Value::Text("x".into()),
+    ];
+    // Each kind alone, then all of them in one result whose rows mix Int and
+    // Float cells that the unordered mode's sort ranks as equal.
+    let mut results: Vec<ResultSet> = cells
+        .iter()
+        .map(|c| ResultSet { columns: vec!["x".into()], rows: vec![vec![c.clone()]] })
+        .collect();
+    results.push(ResultSet {
+        columns: vec!["a".into(), "b".into()],
+        rows: cells
+            .iter()
+            .zip(cells.iter().rev())
+            .map(|(a, b)| vec![a.clone(), b.clone()])
+            .chain([vec![Value::Int(3), f(f64::NAN)], vec![f(3.0), f(f64::NAN)]])
+            .collect(),
+    });
+    for rs in &results {
+        for ordered in [true, false] {
+            assert!(rs.same_result(rs, ordered), "ordered={ordered}: {:?}", rs.rows);
+            assert!(rs.same_result(&rs.clone(), ordered), "ordered={ordered}: {:?}", rs.rows);
+        }
+    }
+}
+
+#[test]
+fn same_result_tolerance_off_the_diagonal() {
+    let f = Value::Float;
+    let one = |v: Value| ResultSet { columns: vec!["x".into()], rows: vec![vec![v]] };
+    let close = |a: Value, b: Value| {
+        let (a, b) = (one(a), one(b));
+        let verdict = a.same_result(&b, true);
+        assert_eq!(verdict, a.same_result(&b, false), "one row: both modes agree");
+        verdict
+    };
+    assert!(close(f(0.0), f(-0.0)));
+    assert!(close(Value::Int(1), f(1.0)));
+    assert!(close(f(1.0), f(1.0 + 1e-9)));
+    assert!(!close(f(1.0), f(1.0 + 1e-5)));
+    assert!(!close(f(f64::NAN), f(1.0)));
+    // NaNs with different bits stay apart: only identical bits short-cut the
+    // tolerance test.
+    assert!(!close(f(f64::NAN), f(-f64::NAN)));
+    assert!(!close(Value::Null, Value::Int(0)));
+    assert!(!close(Value::Text("1".into()), Value::Int(1)));
+}
+
+#[test]
 fn not_in_with_null_in_set_matches_sql_semantics() {
     let mut db = tv_db();
     // Insert a cartoon with NULL channel: NOT IN over a set containing NULL is

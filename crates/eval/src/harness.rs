@@ -35,8 +35,8 @@
 //! also opens each run's [`obs::Probe`] ([`RunEnv::probe`]).
 
 use crate::attribution::AttributionReport;
-use crate::metrics::{em_match_str, ex_match_str_with};
-use crate::testsuite::{build_suite, ts_match_str_with, SuiteConfig, TestSuite};
+use crate::metrics::{em_match, ex_match_with};
+use crate::testsuite::{build_suite, ts_match_with, SuiteConfig, TestSuite};
 use engine::{Database, ExecSession};
 use llm::CostLedger;
 use obs::{Clock, EventSink, MetricsRegistry, Probe, StageMetrics};
@@ -514,16 +514,22 @@ fn score_outcome(
     session: &ExecSession,
 ) -> ExampleScore {
     let t = &outcome.translation;
-    let sdb = session.bind(db);
+    // One parse serves all three metrics; a prediction that does not parse
+    // matches none of them.
+    let (em, ex_hit, ts) = match session.parse(&t.sql) {
+        Some(pred) => (
+            em_match(&pred, &ex.query, &db.schema),
+            ex_match_with(&session.bind(db), &pred, &ex.query),
+            suites.is_some_and(|s| ts_match_with(session, &pred, &ex.query, &s[ex.db_index])),
+        ),
+        None => (false, false, false),
+    };
     ExampleScore {
         prompt_tokens: t.prompt_tokens,
         output_tokens: t.output_tokens,
-        em: em_match_str(&t.sql, &ex.query, &db.schema),
-        ex: ex_match_str_with(&sdb, &t.sql, &ex.query),
-        ts: match suites {
-            Some(suites) => ts_match_str_with(session, &t.sql, &ex.query, &suites[ex.db_index]),
-            None => false,
-        },
+        em,
+        ex: ex_hit,
+        ts,
         hardness: ex.hardness as usize,
         metrics: outcome.metrics,
     }

@@ -43,8 +43,8 @@ pub use reportio::{
     report_from_json, report_to_json, REPORT_SCHEMA_VERSION,
 };
 pub use testsuite::{
-    build_suite, fuzz_instance, mutate, ts_match, ts_match_str, ts_match_str_with, ts_match_with,
-    SuiteConfig, TestSuite,
+    build_suite, fuzz_instance, mutate, ts_match, ts_match_str, ts_match_with, SuiteConfig,
+    TestSuite,
 };
 pub use wire::{
     command_from_json, request_from_json, request_to_json, response_from_json, response_to_json,

@@ -6,6 +6,11 @@
 //! its near-miss mutants ("neighbor queries"). TS accuracy then requires the
 //! prediction to match the gold query's results on **every** instance in the suite,
 //! which strips away the coincidental-equality false positives of single-database EX.
+//!
+//! A prediction that prints as its gold query matches without running the suite:
+//! print-equal queries share one execution-cache key, so every instance would
+//! compare a result with itself, and [`engine::ResultSet::same_result`] is
+//! reflexive (DESIGN.md §10).
 
 use engine::{execute, order_matters, Database, ExecSession, Value};
 use rand::prelude::*;
@@ -90,20 +95,9 @@ pub fn build_suite(
 
 /// TS accuracy check: the prediction must produce the gold result on every instance
 /// of the suite (gold executing successfully on all of them by construction).
+/// [`ts_match_with`] over [`ExecSession::disabled`]: the same engine, uncached.
 pub fn ts_match(pred: &Query, gold: &Query, suite: &TestSuite) -> bool {
-    let ordered = order_matters(gold);
-    for db in &suite.databases {
-        let Ok(gold_rs) = execute(db, gold) else {
-            continue;
-        };
-        let Ok(pred_rs) = execute(db, pred) else {
-            return false;
-        };
-        if !pred_rs.same_result(&gold_rs, ordered) {
-            return false;
-        }
-    }
-    true
+    ts_match_with(&ExecSession::disabled(), pred, gold, suite)
 }
 
 /// TS on a raw predicted string.
@@ -118,7 +112,15 @@ pub fn ts_match_str(pred_sql: &str, gold: &Query, suite: &TestSuite) -> bool {
 /// the session, so gold executions (one per instance) are memoized across all
 /// predictions scored against the same suite. Returns exactly what
 /// [`ts_match`] returns for the same inputs.
+///
+/// A prediction that prints as the gold query matches without executing
+/// anything. The verdict is already fixed: print-equal queries share one
+/// session cache key, so on every instance the loop would compare a result
+/// with itself, and [`engine::ResultSet::same_result`] is reflexive.
 pub fn ts_match_with(session: &ExecSession, pred: &Query, gold: &Query, suite: &TestSuite) -> bool {
+    if pred.to_string() == gold.to_string() {
+        return true;
+    }
     let ordered = order_matters(gold);
     for db in &suite.databases {
         let sdb = session.bind(db);
@@ -133,20 +135,6 @@ pub fn ts_match_with(session: &ExecSession, pred: &Query, gold: &Query, suite: &
         }
     }
     true
-}
-
-/// [`ts_match_str`] through an execution session; the parse result is memoized
-/// alongside plans and results.
-pub fn ts_match_str_with(
-    session: &ExecSession,
-    pred_sql: &str,
-    gold: &Query,
-    suite: &TestSuite,
-) -> bool {
-    match session.parse(pred_sql) {
-        Some(pred) => ts_match_with(session, &pred, gold, suite),
-        None => false,
-    }
 }
 
 fn distinguishes(db: &Database, gold: &Query, neighbor: &Query) -> bool {
@@ -424,16 +412,27 @@ mod tests {
             1234,
         );
         let session = ExecSession::shared();
-        for pred in ["SELECT name FROM t WHERE id < 3", "SELECT name FROM t WHERE grp = 'x'"] {
-            assert_eq!(
-                ts_match_str_with(&session, pred, &gold, &suite),
-                ts_match_str(pred, &gold, &suite),
-                "{pred}"
-            );
+        // Two rewrites of the gold that print differently but match it on
+        // every instance (ids are integer primary keys from 1), so each walks
+        // the whole suite.
+        for pred in
+            ["SELECT name FROM t WHERE id <= 2", "SELECT name FROM t WHERE id BETWEEN 1 AND 2"]
+        {
+            let pred = parse(pred).unwrap();
+            assert_ne!(pred.to_string(), gold.to_string());
+            assert!(ts_match_with(&session, &pred, &gold, &suite), "{pred}");
+            assert!(ts_match(&pred, &gold, &suite), "{pred}");
         }
         // The gold executions were cached per suite instance on the first call
-        // and reused for the second prediction.
-        assert!(session.stats().result.hits as usize >= suite.databases.len());
+        // and reused for the second prediction; each prediction ran once per
+        // instance.
+        let n = suite.databases.len() as u64;
+        let result = session.stats().result;
+        assert_eq!((result.misses, result.hits), (3 * n, n));
+        assert_eq!(
+            ts_match_with(&session, &coincident, &gold, &suite),
+            ts_match(&coincident, &gold, &suite)
+        );
     }
 
     #[test]

@@ -29,10 +29,13 @@ pub fn equivalent_rewrites(q: &Query) -> Vec<Query> {
     out.extend(add_distinct(q));
     // Exact equivalences are the most common LLM form differences ("the SQL is
     // right, just phrased differently"): weight them up by listing them thrice.
+    let exact: Vec<Query> =
+        [between_to_cmp(q), shift_integer_boundary(q), count_star_to_count_pk(q)]
+            .into_iter()
+            .flatten()
+            .collect();
     for _ in 0..3 {
-        out.extend(between_to_cmp(q));
-        out.extend(shift_integer_boundary(q));
-        out.extend(count_star_to_count_pk(q));
+        out.extend(exact.iter().cloned());
     }
     out
 }
@@ -226,8 +229,8 @@ pub fn near_miss(
     rng: &mut StdRng,
 ) -> Option<Query> {
     let mut eq = equivalent_rewrites(q);
-    for _ in 0..3 {
-        eq.extend(add_redundant_join(q, db.db()));
+    if let Some(join) = add_redundant_join(q, db.db()) {
+        eq.extend(std::iter::repeat_n(join, 3));
     }
     let bad = corrupting_rewrites(q);
     let use_eq = rng.random_bool(equivalent_bias);
@@ -979,6 +982,96 @@ mod tests {
             let (session, db) = (engine::ExecSession::new(0), empty_db());
             assert!(near_miss(&q, &session.bind(&db), 0.5, &mut rng).is_some());
         }
+    }
+
+    /// `equivalent_rewrites` as written before each exact rewrite was built
+    /// once: the three exact rewrites are rebuilt on every repetition.
+    fn equivalent_rewrites_rebuilt(q: &Query) -> Vec<Query> {
+        let mut out = Vec::new();
+        out.extend(except_to_not_in(q));
+        out.extend(not_in_to_except(q));
+        out.extend(in_to_join(q));
+        out.extend(join_to_in(q));
+        out.extend(order_limit_to_extremum(q));
+        out.extend(union_to_or(q));
+        out.extend(add_distinct(q));
+        for _ in 0..3 {
+            out.extend(between_to_cmp(q));
+            out.extend(shift_integer_boundary(q));
+            out.extend(count_star_to_count_pk(q));
+        }
+        out
+    }
+
+    /// `near_miss` as written before the redundant join was built once.
+    fn near_miss_rebuilt(
+        q: &Query,
+        db: &engine::SessionDb<'_, '_>,
+        equivalent_bias: f64,
+        rng: &mut StdRng,
+    ) -> Option<Query> {
+        let mut eq = equivalent_rewrites_rebuilt(q);
+        for _ in 0..3 {
+            eq.extend(add_redundant_join(q, db.db()));
+        }
+        let bad = corrupting_rewrites(q);
+        let use_eq = rng.random_bool(equivalent_bias);
+        if use_eq && !eq.is_empty() {
+            if rng.random_bool(0.9) {
+                if let Ok(gold_rs) = db.execute(q) {
+                    let ordered = engine::order_matters(q);
+                    let preserving: Vec<&Query> = eq
+                        .iter()
+                        .filter(|m| {
+                            db.execute(m)
+                                .map(|rs| rs.same_result(&gold_rs, ordered))
+                                .unwrap_or(false)
+                        })
+                        .collect();
+                    if let Some(pick) = preserving.choose(rng) {
+                        return Some((*pick).clone());
+                    }
+                }
+            }
+            return eq.choose(rng).cloned();
+        }
+        let pool = if !bad.is_empty() {
+            &bad
+        } else if !eq.is_empty() {
+            &eq
+        } else {
+            return None;
+        };
+        pool.choose(rng).cloned()
+    }
+
+    #[test]
+    fn rewrites_built_once_match_the_rebuilt_lists() {
+        let suite = spidergen::generate_suite(&spidergen::GenConfig::tiny(555));
+        let examples = &suite.train.examples;
+        let session = engine::ExecSession::shared();
+        let (mut exact, mut joined) = (0, 0);
+        for case in 0..64u64 {
+            let ex = &examples[StdRng::seed_from_u64(case).random_range(0..examples.len())];
+            let (q, db) = (&ex.query, session.bind(suite.train.db_of(ex)));
+            let eq = equivalent_rewrites(q);
+            assert_eq!(eq, equivalent_rewrites_rebuilt(q), "case {case}: `{q}`");
+            let exact_rewrites =
+                [between_to_cmp(q), shift_integer_boundary(q), count_star_to_count_pk(q)];
+            exact += usize::from(exact_rewrites.iter().any(Option::is_some));
+            joined += usize::from(add_redundant_join(q, db.db()).is_some());
+            for bias in [0.0, 0.5, 0.9, 1.0] {
+                let mut a = StdRng::seed_from_u64(case);
+                let mut b = a.clone();
+                assert_eq!(
+                    near_miss(q, &db, bias, &mut a),
+                    near_miss_rebuilt(q, &db, bias, &mut b),
+                    "case {case}, bias {bias}: `{q}`"
+                );
+                assert_eq!(a.next_u64(), b.next_u64(), "case {case}, bias {bias}: rng stream");
+            }
+        }
+        assert!(exact > 0 && joined > 0, "{exact} cases had exact rewrites, {joined} a join");
     }
 
     #[test]

@@ -120,20 +120,25 @@ impl SkeletonPredictor {
     }
 
     /// Top-k beam with normalized probabilities.
+    ///
+    /// The beam is kept while scoring, best first, instead of sorting every
+    /// candidate: a candidate enters after every kept one that scores at least
+    /// as high, so ties rank by lower index, as a stable sort would.
     pub fn predict(&self, nl: &str, db: &Database, k: usize) -> Vec<SkeletonPrediction> {
         let c = cues(nl, db);
-        let mut scored: Vec<(usize, f64)> = (0..self.skeletons.len())
-            .map(|si| {
-                let mut score = self.log_prior[si];
-                for (j, v) in c.iter().enumerate() {
-                    let (l0, l1) = self.log_like[si][j];
-                    score += if *v { l1 } else { l0 };
-                }
-                (si, score)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        scored.truncate(k);
+        let mut scored: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.skeletons.len()) + 1);
+        for si in 0..self.skeletons.len() {
+            let mut score = self.log_prior[si];
+            for (j, v) in c.iter().enumerate() {
+                let (l0, l1) = self.log_like[si][j];
+                score += if *v { l1 } else { l0 };
+            }
+            let at = scored.partition_point(|(_, s)| s.total_cmp(&score).is_ge());
+            if at < k {
+                scored.insert(at, (si, score));
+                scored.truncate(k);
+            }
+        }
         let max = scored.first().map(|(_, s)| *s).unwrap_or(0.0);
         let weights: Vec<f64> = scored.iter().map(|(_, s)| (s - max).exp()).collect();
         let z: f64 = weights.iter().sum();
@@ -183,6 +188,82 @@ mod tests {
         assert!(t3 >= t1);
         assert!(t1 > 0.30, "pooled top-1 skeleton recall too low: {t1:.3}");
         assert!(t3 > 0.45, "pooled top-3 skeleton recall too low: {t3:.3}");
+    }
+
+    /// The beam as computed before top-k selection: score every skeleton,
+    /// stable-sort them all, keep `k`.
+    fn predict_by_sort(
+        model: &SkeletonPredictor,
+        nl: &str,
+        db: &Database,
+        k: usize,
+    ) -> Vec<SkeletonPrediction> {
+        let c = cues(nl, db);
+        let mut scored: Vec<(usize, f64)> = (0..model.skeletons.len())
+            .map(|si| {
+                let mut score = model.log_prior[si];
+                for (j, v) in c.iter().enumerate() {
+                    let (l0, l1) = model.log_like[si][j];
+                    score += if *v { l1 } else { l0 };
+                }
+                (si, score)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        scored.truncate(k);
+        let max = scored.first().map(|(_, s)| *s).unwrap_or(0.0);
+        let weights: Vec<f64> = scored.iter().map(|(_, s)| (s - max).exp()).collect();
+        let z: f64 = weights.iter().sum();
+        scored
+            .iter()
+            .zip(&weights)
+            .map(|((si, _), w)| SkeletonPrediction {
+                skeleton: model.skeletons[*si].clone(),
+                probability: w / z,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_k_beam_matches_the_stable_sort_on_dev() {
+        for seed in [3, 11, 42, 77] {
+            let suite = generate_suite(&GenConfig::tiny(seed));
+            let model = SkeletonPredictor::train(&suite.train);
+            let v = model.vocabulary_size();
+            for ex in &suite.dev.examples {
+                let db = suite.dev.db_of(ex);
+                for k in [0, 1, 3, v, v + 5] {
+                    assert_eq!(
+                        model.predict(&ex.nl, db, k),
+                        predict_by_sort(&model, &ex.nl, db, k),
+                        "seed {seed}, k {k}: {}",
+                        ex.nl
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tied_scores_rank_by_lower_index() {
+        // Skeletons 0, 2 and 3 tie on the best score, 1 and 4 on a worse one.
+        let skeletons: Vec<Skeleton> = ["SELECT a", "SELECT b", "SELECT c", "SELECT d", "SELECT e"]
+            .map(Skeleton::parse)
+            .into();
+        let model = SkeletonPredictor {
+            log_like: vec![vec![(0.0, 0.0); NUM_CUES]; skeletons.len()],
+            log_prior: vec![0.0, -1.0, 0.0, 0.0, -1.0],
+            skeletons,
+        };
+        let db = Database::empty(sqlkit::Schema::new("x"));
+        for k in 0..7 {
+            let beam = model.predict("anything", &db, k);
+            assert_eq!(beam, predict_by_sort(&model, "anything", &db, k), "k {k}");
+            let got: Vec<&Skeleton> = beam.iter().map(|p| &p.skeleton).collect();
+            let want: Vec<&Skeleton> =
+                [0, 2, 3, 1, 4].iter().take(k).map(|&i| &model.skeletons[i]).collect();
+            assert_eq!(got, want, "k {k}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 
 use crate::window::SlidingWindow;
 
-/// Default burn-rate multiple at which `Degraded` escalates to `Breached`.
-pub const DEFAULT_BREACH_BURN: f64 = 4.0;
+/// Burn-rate multiple at which `Degraded` escalates to `Breached`.
+pub const BREACH_BURN: f64 = 4.0;
 
 /// Three-state health verdict for one objective (or a whole service).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,7 +105,6 @@ pub struct SloTracker {
     spec: SloSpec,
     /// Each observation is recorded as 1 (violation) or 0 (within target).
     window: SlidingWindow,
-    breach_burn: f64,
     /// All-time count of transitions into a non-Healthy verdict ("overload
     /// episodes" in the soak summary).
     episodes: u64,
@@ -118,16 +117,9 @@ impl SloTracker {
         SloTracker {
             spec,
             window: SlidingWindow::with_buckets(bucket_width, buckets),
-            breach_burn: DEFAULT_BREACH_BURN,
             episodes: 0,
             last_verdict: SloVerdict::Healthy,
         }
-    }
-
-    /// Override the burn multiple at which Degraded becomes Breached.
-    pub fn with_breach_burn(mut self, breach_burn: f64) -> SloTracker {
-        self.breach_burn = breach_burn.max(1.0);
-        self
     }
 
     /// The objective being tracked.
@@ -155,7 +147,7 @@ impl SloTracker {
         } else {
             (stats.sum as f64 / stats.count as f64) / self.spec.budget
         };
-        let verdict = if burn_rate >= self.breach_burn {
+        let verdict = if burn_rate >= BREACH_BURN {
             SloVerdict::Breached
         } else if burn_rate > 1.0 {
             SloVerdict::Degraded

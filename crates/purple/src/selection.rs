@@ -76,13 +76,13 @@ pub fn select_demonstrations(
         preds.remove(victim);
     }
 
-    // Build the preferential matching sequence I (lines 2-5).
-    let levels: Vec<Level> = Level::ALL.iter().copied().skip(cfg.masking_number.min(3)).collect();
-    let mut cells: Vec<std::collections::VecDeque<usize>> = Vec::new();
-    for level in &levels {
+    // Build the preferential matching sequence I (lines 2-5). Each cell is
+    // the unpopped tail of an end state's demonstration slice: popping
+    // advances its start.
+    let mut cells: Vec<&[usize]> = Vec::new();
+    for level in Level::ALL.iter().skip(cfg.masking_number.min(3)) {
         for pred in &preds {
-            let matched = automata.at(*level).matches(&pred.skeleton);
-            cells.push(matched.iter().copied().collect());
+            cells.push(automata.at(*level).matches(&pred.skeleton));
         }
     }
 
@@ -101,7 +101,8 @@ pub fn select_demonstrations(
             }
             taken_this_round += 1;
             // Pop-Demo: skip duplicates already in E'.
-            while let Some(d) = cell.pop_front() {
+            while let Some((&d, rest)) = cell.split_first() {
+                *cell = rest;
                 if !seen[d] {
                     seen[d] = true;
                     selected.push(d);
@@ -155,6 +156,100 @@ mod tests {
 
     fn pred(text: &str, p: f64) -> SkeletonPrediction {
         SkeletonPrediction { skeleton: Skeleton::parse(text), probability: p }
+    }
+
+    /// Algorithm 1 as implemented before the slice cursors: every cell's
+    /// matches copied into a deque and popped from the front.
+    fn select_by_deques(
+        automata: &AutomatonSet,
+        predictions: &[SkeletonPrediction],
+        cfg: &SelectionConfig,
+        pool_size: usize,
+        rng: &mut StdRng,
+    ) -> Vec<usize> {
+        let mut preds: Vec<&SkeletonPrediction> = predictions.iter().collect();
+        if preds.len() > 1 && cfg.drop_prob > 0.0 && rng.random_bool(cfg.drop_prob) {
+            let victim = rng.random_range(0..preds.len());
+            preds.remove(victim);
+        }
+        let levels: Vec<Level> =
+            Level::ALL.iter().copied().skip(cfg.masking_number.min(3)).collect();
+        let mut cells: Vec<std::collections::VecDeque<usize>> = Vec::new();
+        for level in &levels {
+            for pred in &preds {
+                let matched = automata.at(*level).matches(&pred.skeleton);
+                cells.push(matched.iter().copied().collect());
+            }
+        }
+        let mut selected: Vec<usize> = Vec::new();
+        let mut seen = vec![false; pool_size];
+        let mut p = cfg.p0.max(1);
+        while cells.iter().any(|c| !c.is_empty()) && selected.len() < cfg.max_selected {
+            let mut taken_this_round = 0usize;
+            for cell in cells.iter_mut() {
+                if taken_this_round >= p {
+                    break;
+                }
+                if cell.is_empty() {
+                    continue;
+                }
+                taken_this_round += 1;
+                while let Some(d) = cell.pop_front() {
+                    if !seen[d] {
+                        seen[d] = true;
+                        selected.push(d);
+                        break;
+                    }
+                }
+                if selected.len() >= cfg.max_selected {
+                    break;
+                }
+            }
+            p = cfg.growth.next(p);
+        }
+        selected
+    }
+
+    #[test]
+    fn cursor_selection_matches_the_deque_version_on_dev() {
+        use nlmodel::SkeletonPredictor;
+        use spidergen::{generate_suite, GenConfig};
+        let mut configs = Vec::new();
+        for p0 in [1, 3] {
+            for growth in [Growth::Linear(1), Growth::Linear(2), Growth::Exp(2)] {
+                for masking_number in 0..=3 {
+                    for (drop_prob, max_selected) in [(0.0, 48), (0.5, 48), (0.0, 5), (0.5, 5)] {
+                        configs.push(SelectionConfig {
+                            p0,
+                            growth,
+                            masking_number,
+                            drop_prob,
+                            max_selected,
+                        });
+                    }
+                }
+            }
+        }
+        for seed in [5, 23] {
+            let suite = generate_suite(&GenConfig::tiny(seed));
+            let skeletons: Vec<Skeleton> =
+                suite.train.examples.iter().map(|e| Skeleton::from_query(&e.query)).collect();
+            let (autos, n) = (AutomatonSet::build(&skeletons), skeletons.len());
+            let predictor = SkeletonPredictor::train(&suite.train);
+            for (i, ex) in suite.dev.examples.iter().enumerate() {
+                let preds = predictor.predict(&ex.nl, suite.dev.db_of(ex), 3);
+                for (c, cfg) in configs.iter().enumerate() {
+                    let mut a = StdRng::seed_from_u64((i * configs.len() + c) as u64);
+                    let mut b = a.clone();
+                    assert_eq!(
+                        select_demonstrations(&autos, &preds, cfg, n, &mut a),
+                        select_by_deques(&autos, &preds, cfg, n, &mut b),
+                        "seed {seed}, example {i}, {cfg:?}"
+                    );
+                    assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}, example {i}: rng stream");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,15 +46,6 @@ impl Column {
         let display = name.replace('_', " ");
         Column { name, display, ty }
     }
-
-    /// Constructor with an explicit display phrase.
-    pub fn with_display(
-        name: impl Into<String>,
-        display: impl Into<String>,
-        ty: ColumnType,
-    ) -> Self {
-        Column { name: name.into(), display: display.into(), ty }
-    }
 }
 
 /// A table definition inside a [`Schema`].
