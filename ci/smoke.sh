@@ -5,9 +5,10 @@
 #
 # Every mode but `perfbench` runs at --scale tiny and enforces the
 # repository's determinism contract: observable artifacts must be
-# byte-identical for any --jobs count (for `cache` and `exec-bench`, with the
-# execution cache on or off, and `exec-bench` also checks the engine against
-# the reference interpreter; for `serve` and `trace`, at any worker
+# byte-identical for any --jobs count (for `cache`, `exec-bench` and
+# `diagnose`, with the execution cache on or off, and `exec-bench` also
+# checks the engine against the reference interpreter; for `serve` and
+# `trace`, at any worker
 # count and arrival order; for `dml`, across --jobs counts
 # and cache modes; for `soak`, the timeline's virt_* columns across worker
 # counts and arrival seeds). `perfbench` builds and briefly runs the
@@ -65,6 +66,12 @@ diagnose)
     "$REPRO" --scale tiny --jobs 4 --diagnose "$work/blame4.md" --events "$work/events4.jsonl"
     cmp "$work/blame1.md" "$work/blame4.md"
     cmp "$work/events1.jsonl" "$work/events4.jsonl"
+    # Attribution executes through the run's session: the same verdicts and
+    # events with the execution cache off.
+    "$REPRO" --scale tiny --jobs 4 --no-exec-cache \
+        --diagnose "$work/blame4-uncached.md" --events "$work/events4-uncached.jsonl"
+    cmp "$work/blame4.md" "$work/blame4-uncached.md"
+    cmp "$work/events4.jsonl" "$work/events4-uncached.jsonl"
     python3 - "$work" <<'EOF'
 import json, sys
 work = sys.argv[1]

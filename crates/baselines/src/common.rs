@@ -18,7 +18,7 @@ pub fn fixed_demo_indices(pool_size: usize, k: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{Database, Value};
+    use engine::{Database, ExecSession, Value};
     use obs::Probe;
     use purple::raw_vote;
     use sqlkit::{Column, ColumnType, Schema, Table};
@@ -40,6 +40,8 @@ mod tests {
     #[test]
     fn raw_vote_picks_majority() {
         let d = db();
+        let session = ExecSession::disabled();
+        let d = session.bind(&d);
         let samples = vec![
             "SELECT id FROM t WHERE id = 1".to_string(),
             "SELECT id FROM t WHERE id = 2".to_string(),
@@ -51,6 +53,8 @@ mod tests {
     #[test]
     fn raw_vote_ignores_broken_samples_and_falls_back() {
         let d = db();
+        let session = ExecSession::disabled();
+        let d = session.bind(&d);
         let samples = vec!["garbage".to_string(), "SELECT id FROM t".to_string()];
         assert_eq!(raw_vote(&samples, &d, &Probe::detached()), "SELECT id FROM t");
         assert_eq!(raw_vote(&["x".to_string()], &d, &Probe::detached()), "x");

@@ -308,7 +308,7 @@ impl Translator for LlmBaseline {
             Strategy::DinSql => {
                 let stage = probe.stage(Stage::Adaption);
                 let mut rng = rand::SeedableRng::seed_from_u64(seed ^ 0xd1);
-                let fixed = purple::adapt_sql_with(&sdb, &response.samples[0], &mut rng);
+                let fixed = purple::adapt_sql(&sdb, &response.samples[0], &mut rng);
                 purple::record_adaption(probe.metrics(), &fixed);
                 stage.finish_with(
                     1,
@@ -320,9 +320,7 @@ impl Translator for LlmBaseline {
                 );
                 fixed.sql
             }
-            Strategy::C3 | Strategy::DailSql => {
-                purple::raw_vote_with(&response.samples, &sdb, &probe)
-            }
+            Strategy::C3 | Strategy::DailSql => purple::raw_vote(&response.samples, &sdb, &probe),
             _ => response.samples[0].clone(),
         };
         let translation = Translation {
@@ -337,6 +335,7 @@ impl Translator for LlmBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::ExecSession;
     use eval::evaluate;
     use llm::{CHATGPT, GPT4};
     use purple::{Purple, PurpleConfig};
@@ -354,7 +353,7 @@ mod tests {
     fn run(strategy: Strategy, profile: LlmProfile) -> (f64, f64) {
         let (suite, models) = setup();
         let t = LlmBaseline::new(strategy, profile, models);
-        let r = evaluate(&t, &suite.dev, None);
+        let r = evaluate(&t, &suite.dev, None, 1, &ExecSession::disabled());
         (r.overall.em_pct(), r.overall.ex_pct())
     }
 
@@ -386,7 +385,7 @@ mod tests {
     fn c3_consumes_many_output_tokens() {
         let (suite, models) = setup();
         let c3 = LlmBaseline::new(Strategy::C3, CHATGPT, models);
-        let r = evaluate(&c3, &suite.dev, None);
+        let r = evaluate(&c3, &suite.dev, None, 1, &ExecSession::disabled());
         assert!(r.avg_output_tokens > 5000.0, "C3 output {:.0}", r.avg_output_tokens);
         assert!(r.avg_prompt_tokens < 2000.0, "C3 prunes its input: {:.0}", r.avg_prompt_tokens);
     }

@@ -191,6 +191,7 @@ impl Translator for PlmTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::ExecSession;
     use eval::{build_suites, evaluate, SuiteConfig};
     use nlmodel::SkeletonPredictor;
     use spidergen::{generate_suite, GenConfig};
@@ -213,6 +214,8 @@ mod tests {
                     &PlmTranslator::new(cfg, predictor.clone()),
                     &suite.dev,
                     Some(&suites),
+                    1,
+                    &ExecSession::disabled(),
                 );
                 em[row] += r.overall.em;
                 ex[row] += r.overall.ex;
@@ -256,7 +259,7 @@ mod tests {
         let constrained = PlmConfig { constrained: true, fidelity: 0.0, beam: 4, ..PICARD };
         let em = |cfg| {
             let t = PlmTranslator::new(cfg, predictor.clone());
-            evaluate(&t, &suite.dev, None).overall.em_pct()
+            evaluate(&t, &suite.dev, None, 1, &ExecSession::disabled()).overall.em_pct()
         };
         assert!(em(constrained) > em(unconstrained));
     }

@@ -17,14 +17,14 @@
 //! iterations and exits — the `ci/smoke.sh exec-bench` fast path.
 
 use engine::{Database, ExecSession, Value};
-use purple::consistency_vote_with;
+use purple::consistency_vote;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlkit::{Column, ColumnType, Schema, Table};
 use std::hint::black_box;
 use std::time::Instant;
 
-const DESCRIPTION: &str = "Two comparisons. consistency_vote: purple::consistency_vote_with \
+const DESCRIPTION: &str = "Two comparisons. consistency_vote: purple::consistency_vote \
     over 30 LLM samples on a 200-row database, warm shared ExecSession (cached) vs \
     ExecSession::disabled() (uncached); duplicate_heavy = 8 distinct strings among the 30 \
     samples, distinct_heavy = 30 distinct strings. cold_exec: the distinct-heavy mix against a \
@@ -104,7 +104,7 @@ fn distinct_heavy() -> Vec<String> {
 
 fn vote(samples: &[String], db: &Database, session: &ExecSession) -> purple::VoteOutcome {
     let mut rng = StdRng::seed_from_u64(11);
-    consistency_vote_with(samples, &session.bind(db), &mut rng, &obs::Probe::detached())
+    consistency_vote(samples, &session.bind(db), &mut rng, &obs::Probe::detached())
 }
 
 /// One cold run on the engine: a fresh session (empty caches) executes every

@@ -63,7 +63,7 @@ pub struct ReproContext {
     /// Master seed.
     pub seed: u64,
     /// Worker threads for example-level parallel evaluation
-    /// ([`eval::evaluate_par`]); defaults to the machine's available parallelism.
+    /// ([`eval::evaluate`]); defaults to the machine's available parallelism.
     pub jobs: usize,
     /// Shared execution session: every experiment's adaption loop, vote, and
     /// scoring pass executes through its memoizing caches. Enabled by default;

@@ -6,7 +6,7 @@
 
 use crate::context::ReproContext;
 use baselines::{LlmBaseline, PlmTranslator, Strategy, ALL_PLM};
-use eval::{evaluate_par_with_session, EvalReport, Translator};
+use eval::{evaluate, EvalReport, Translator};
 use llm::{CHATGPT, GPT4};
 use purple::{Growth, PurpleConfig, SelectionConfig};
 use spidergen::split_stats;
@@ -99,9 +99,7 @@ pub fn table4(ctx: &mut ReproContext) -> Vec<Row> {
 
     let reports: Vec<EvalReport> = systems
         .iter()
-        .map(|sys| {
-            evaluate_par_with_session(sys.as_ref(), dev, Some(&suites), ctx.jobs, &ctx.session)
-        })
+        .map(|sys| evaluate(sys.as_ref(), dev, Some(&suites), ctx.jobs, &ctx.session))
         .collect();
 
     reports.iter().enumerate().map(|(i, r)| row(r, TABLE4_PAPER[i].1)).collect()
@@ -148,7 +146,7 @@ pub fn fig9(ctx: &ReproContext) -> Vec<HardnessRow> {
     ];
     let reports: Vec<EvalReport> = systems
         .iter()
-        .map(|sys| evaluate_par_with_session(sys.as_ref(), dev, None, ctx.jobs, &ctx.session))
+        .map(|sys| evaluate(sys.as_ref(), dev, None, ctx.jobs, &ctx.session))
         .collect();
     reports
         .into_iter()
@@ -211,7 +209,7 @@ pub fn fig10(ctx: &ReproContext) -> Vec<VariantRow> {
     {
         for split in splits {
             let t = baseline(ctx, mk, CHATGPT);
-            let r = evaluate_par_with_session(&t, split, None, ctx.jobs, &ctx.session);
+            let r = evaluate(&t, split, None, ctx.jobs, &ctx.session);
             out.push(VariantRow {
                 system: name.to_string(),
                 split: split.name.clone(),
@@ -223,7 +221,7 @@ pub fn fig10(ctx: &ReproContext) -> Vec<VariantRow> {
     }
     for split in splits {
         let t = purple_with(ctx, CHATGPT);
-        let r = evaluate_par_with_session(&t, split, None, ctx.jobs, &ctx.session);
+        let r = evaluate(&t, split, None, ctx.jobs, &ctx.session);
         out.push(VariantRow {
             system: "PURPLE (ChatGPT)".to_string(),
             split: split.name.clone(),
@@ -286,7 +284,7 @@ pub fn fig11(ctx: &ReproContext) -> Vec<BudgetCell> {
             cfg.len_budget = len;
             cfg.num_consistency = num;
             let p = ctx.purple.with_config(cfg).with_env(ctx.env());
-            let r = evaluate_par_with_session(&p, dev, None, ctx.jobs, &ctx.session);
+            let r = evaluate(&p, dev, None, ctx.jobs, &ctx.session);
             BudgetCell {
                 len,
                 num,
@@ -372,7 +370,7 @@ fn run_selection_variants(
             let mut cfg = PurpleConfig::default_with(CHATGPT);
             cfg.selection = sel;
             let p = ctx.purple.with_config(cfg).with_env(ctx.env());
-            let r = evaluate_par_with_session(&p, dev, None, ctx.jobs, &ctx.session);
+            let r = evaluate(&p, dev, None, ctx.jobs, &ctx.session);
             RobustRow { label, em: r.overall.em_pct(), ex: r.overall.ex_pct() }
         })
         .collect()
@@ -409,7 +407,7 @@ pub fn table5(ctx: &ReproContext) -> Vec<Row> {
     ];
     let reports: Vec<EvalReport> = systems
         .iter()
-        .map(|sys| evaluate_par_with_session(sys.as_ref(), dev, None, ctx.jobs, &ctx.session))
+        .map(|sys| evaluate(sys.as_ref(), dev, None, ctx.jobs, &ctx.session))
         .collect();
     reports
         .iter()
@@ -468,7 +466,7 @@ pub fn table6(ctx: &ReproContext) -> Vec<Row> {
         .into_iter()
         .map(|(label, cfg)| {
             let p = ctx.purple.with_config(cfg).with_env(ctx.env());
-            (label.to_string(), evaluate_par_with_session(&p, dev, None, ctx.jobs, &ctx.session))
+            (label.to_string(), evaluate(&p, dev, None, ctx.jobs, &ctx.session))
         })
         .collect();
     reports
@@ -733,7 +731,7 @@ pub fn extension_generation(ctx: &ReproContext) -> Vec<RobustRow> {
             let mut cfg = PurpleConfig::default_with(CHATGPT);
             cfg.demo_mode = *mode;
             let p = ctx.purple.with_config(cfg).with_env(ctx.env());
-            let r = evaluate_par_with_session(&p, dev, None, ctx.jobs, &ctx.session);
+            let r = evaluate(&p, dev, None, ctx.jobs, &ctx.session);
             RobustRow { label: label.to_string(), em: r.overall.em_pct(), ex: r.overall.ex_pct() }
         })
         .collect()
@@ -759,7 +757,7 @@ pub fn seed_sweep(scale: crate::context::Scale, seeds: &[u64]) -> Vec<(u64, f64,
                         .purple
                         .with_config(PurpleConfig::default_with(CHATGPT))
                         .with_env(ctx.env());
-                    let r = eval::evaluate_with_session(&p, &ctx.suite.dev, None, &ctx.session);
+                    let r = eval::evaluate(&p, &ctx.suite.dev, None, 1, &ctx.session);
                     (seed, r.overall.em_pct(), r.overall.ex_pct())
                 })
             })
@@ -829,7 +827,7 @@ pub fn error_analysis(ctx: &ReproContext) -> Vec<(String, eval::ErrorReport)> {
                     for (i, ex) in dev.examples.iter().enumerate() {
                         let db = dev.db_of(ex);
                         let t = sys.run(eval::Job::new(i, ex, db)).translation;
-                        report.add(eval::classify_with(&session.bind(db), &t.sql, &ex.query));
+                        report.add(eval::classify(&session.bind(db), &t.sql, &ex.query));
                     }
                     (name, report)
                 })
@@ -870,13 +868,13 @@ pub fn cost_report(ctx: &ReproContext) -> Vec<CostRow> {
     for (name, strategy, profile) in configs {
         let ledger = llm::CostLedger::shared();
         let t = baseline(ctx, strategy, profile).with_env(ctx.env().with_ledger(ledger.clone()));
-        let r = evaluate_par_with_session(&t, dev, None, ctx.jobs, &ctx.session);
+        let r = evaluate(&t, dev, None, ctx.jobs, &ctx.session);
         out.push(cost_row(name, ledger.totals(), &profile, dev.examples.len(), r.overall.em_pct()));
     }
     for profile in [CHATGPT, GPT4] {
         let ledger = llm::CostLedger::shared();
         let p = purple_with(ctx, profile).with_env(ctx.env().with_ledger(ledger.clone()));
-        let r = evaluate_par_with_session(&p, dev, None, ctx.jobs, &ctx.session);
+        let r = evaluate(&p, dev, None, ctx.jobs, &ctx.session);
         out.push(cost_row(
             &format!("PURPLE ({})", profile.name),
             ledger.totals(),
@@ -917,7 +915,7 @@ fn cost_row(
 pub fn metrics_eval(ctx: &ReproContext, wall_clock: bool) -> EvalReport {
     let clock = if wall_clock { obs::Clock::Wall } else { obs::Clock::Virtual };
     let p = purple_with(ctx, CHATGPT).with_clock(clock);
-    evaluate_par_with_session(&p, &ctx.suite.dev, None, ctx.jobs, &ctx.session)
+    evaluate(&p, &ctx.suite.dev, None, ctx.jobs, &ctx.session)
 }
 
 // ---------------------------------------------------------------------------
@@ -943,16 +941,16 @@ pub fn diagnose(ctx: &ReproContext) -> DiagnoseOutput {
     let p = purple_with(ctx, CHATGPT);
     let dev = &ctx.suite.dev;
     let sink = obs::EventSink::bounded(dev.examples.len(), obs::DEFAULT_EVENTS_PER_EXAMPLE);
-    let (mut report, verdicts) = eval::evaluate_with_par(
+    let (mut report, verdicts) = eval::evaluate_with(
         eval::Translator::name(&p),
         dev,
         None,
         ctx.jobs,
         &ctx.session,
         |job: eval::Job<'_>| {
-            let (ex, db) = (job.example, job.db);
+            let (ex, sdb) = (job.example, ctx.session.bind(job.db));
             let out = p.run(job.with_trace(true).with_events(Some(&sink)));
-            let verdict = out.trace.as_ref().and_then(|t| t.blame(&ex.query, db));
+            let verdict = out.trace.as_ref().and_then(|t| t.blame(&ex.query, &sdb));
             (eval::RunOutcome { translation: out.translation, metrics: out.metrics }, verdict)
         },
     );
@@ -984,16 +982,16 @@ pub fn archive_eval(ctx: &mut ReproContext, profile: llm::LlmProfile) -> EvalRep
     let suites = ctx.dev_suites.clone().expect("built above");
     let p = purple_with(ctx, profile);
     let dev = &ctx.suite.dev;
-    let (mut report, verdicts) = eval::evaluate_with_par(
+    let (mut report, verdicts) = eval::evaluate_with(
         eval::Translator::name(&p),
         dev,
         Some(&suites),
         ctx.jobs,
         &ctx.session,
         |job: eval::Job<'_>| {
-            let (ex, db) = (job.example, job.db);
+            let (ex, sdb) = (job.example, ctx.session.bind(job.db));
             let out = p.run(job.with_trace(true));
-            let verdict = out.trace.as_ref().and_then(|t| t.blame(&ex.query, db));
+            let verdict = out.trace.as_ref().and_then(|t| t.blame(&ex.query, &sdb));
             (eval::RunOutcome { translation: out.translation, metrics: out.metrics }, verdict)
         },
     );
@@ -1049,14 +1047,15 @@ pub fn dml_bench(scale: crate::context::Scale, seed: u64) -> spidergen::WriteBen
 /// example (gold echoed with high probability, otherwise a near-miss literal
 /// perturbation) and resolves writes through the state-keyed
 /// [`purple::write_vote`] — candidates execute against transient database
-/// copies, never the canonical benchmark databases. All randomness derives
-/// from [`eval::seed_for`]`(base_seed, idx)`, so the translator is a pure
-/// function of the job and reports fold byte-identically for any worker
+/// copies, never the canonical benchmark databases — and reads through
+/// [`purple::raw_vote`]. Both votes execute through `session`. All randomness
+/// derives from [`eval::seed_for`]`(base_seed, idx)`, so the translator is a
+/// pure function of the job and reports fold byte-identically for any worker
 /// count, engine, and cache configuration.
 pub struct SimDmlTranslator {
     /// Base seed; per-example seeds derive from it by position.
     pub base_seed: u64,
-    /// Session used by the write vote (engine choice does not change winners).
+    /// Session both votes execute through (caching does not change winners).
     pub session: std::sync::Arc<engine::ExecSession>,
 }
 
@@ -1149,7 +1148,7 @@ impl eval::StatementTranslator for SimDmlTranslator {
         let sql = if job.example.statement.is_write() {
             purple::write_vote(&candidates, job.db, &self.session, &probe).sql
         } else {
-            purple::raw_vote(&candidates, job.db, &probe)
+            purple::raw_vote(&candidates, &self.session.bind(job.db), &probe)
         };
         eval::Translation {
             sql: sql.clone(),
@@ -1171,5 +1170,5 @@ pub fn dml_eval(
 ) -> EvalReport {
     let bench = dml_bench(scale, seed);
     let translator = SimDmlTranslator::new(seed);
-    eval::evaluate_dml_par(&translator, &bench, session, jobs)
+    eval::evaluate_dml(&translator, &bench, jobs, session)
 }

@@ -34,7 +34,7 @@
 //! [`run_load`] driver plus [`replay_report`] back the `purple-serve
 //! --load-gen` benchmark: wall-clock throughput/latency percentiles, and an
 //! [`EvalReport`] rebuilt from the served outcomes that is byte-identical to
-//! a sequential [`eval::evaluate_with_session`] pass.
+//! a sequential (one-job) [`eval::evaluate`] pass.
 
 use engine::ExecSession;
 use eval::{
@@ -923,7 +923,7 @@ impl eval::Translator for Replay<'_> {
 
 /// Rebuild the evaluation report for `bench` from served completions:
 /// the first completion per example index is replayed through
-/// [`eval::evaluate_with_session`], so the report — metrics included — is
+/// [`eval::evaluate`] on one job, so the report — metrics included — is
 /// byte-identical to a sequential evaluation of the same translator
 /// (serving changes scheduling, never results). Errors if the completions do
 /// not cover every example of the split.
@@ -950,7 +950,7 @@ pub fn replay_report(
     let outcomes: Vec<eval::RunOutcome> =
         outcomes.into_iter().map(|o| o.expect("checked above")).collect();
     let replay = Replay { system: system.to_string(), outcomes: &outcomes };
-    Ok(eval::evaluate_with_session(&replay, bench, suites, session))
+    Ok(eval::evaluate(&replay, bench, suites, 1, session))
 }
 
 #[cfg(test)]
@@ -1086,7 +1086,7 @@ mod tests {
         let system = eval::Translator::name(fx.purple.as_ref());
         let served = replay_report(&system, &fx.bench, None, &fx.session, &completions)
             .expect("full coverage");
-        let direct = eval::evaluate_with_session(fx.purple.as_ref(), &fx.bench, None, &fx.session);
+        let direct = eval::evaluate(fx.purple.as_ref(), &fx.bench, None, 1, &fx.session);
         assert_eq!(
             eval::report_to_json(&served),
             eval::report_to_json(&direct),

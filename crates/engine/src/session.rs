@@ -50,55 +50,31 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Sizing of an [`ExecSession`].
 ///
-/// Each cached stage gets its own LRU bound so servers can size the caches to
-/// their workload (e.g. [`SessionConfig::for_workers`] scales with the worker
-/// count of a translation service) instead of inheriting one hardcoded
-/// capacity. Capacity 0 on every stage disables caching entirely.
+/// One bound serves every cached stage, so a server sizes its caches to its
+/// workload in one number (e.g. [`SessionConfig::for_workers`] scales with
+/// the worker count of a translation service). Capacity 0 disables caching
+/// entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Bound of the SQL-text → AST cache.
-    pub parse_capacity: usize,
-    /// Bound of the (db fingerprint, SQL) → prepared-plan cache.
-    pub plan_capacity: usize,
-    /// Bound of the (db fingerprint, SQL) → result-set cache.
-    pub result_capacity: usize,
-    /// Bound of the (db fingerprint, table) → column-vector cache.
-    pub column_capacity: usize,
+    /// Bound of each LRU: parse, plan, result and column caches alike.
+    pub capacity: usize,
 }
 
 impl Default for SessionConfig {
-    /// [`DEFAULT_CACHE_CAPACITY`] on every stage — the configuration
-    /// [`ExecSession::shared`] has always used.
+    /// [`DEFAULT_CACHE_CAPACITY`] — the configuration [`ExecSession::shared`]
+    /// has always used.
     fn default() -> Self {
-        SessionConfig::uniform(DEFAULT_CACHE_CAPACITY)
+        SessionConfig { capacity: DEFAULT_CACHE_CAPACITY }
     }
 }
 
 impl SessionConfig {
-    /// The same capacity on every stage.
-    pub fn uniform(capacity: usize) -> Self {
-        SessionConfig {
-            parse_capacity: capacity,
-            plan_capacity: capacity,
-            result_capacity: capacity,
-            column_capacity: capacity,
-        }
-    }
-
     /// A configuration sized for a translation server with `workers` worker
-    /// threads: every stage grows linearly with the worker count (each worker
+    /// threads: the bound grows linearly with the worker count (each worker
     /// keeps its own working set of vote samples and gold executions warm)
     /// without ever shrinking below the single-process default.
     pub fn for_workers(workers: usize) -> Self {
-        SessionConfig::uniform(DEFAULT_CACHE_CAPACITY.max(workers * 1024))
-    }
-
-    /// Whether any stage caches at all.
-    pub fn is_enabled(&self) -> bool {
-        self.parse_capacity > 0
-            || self.plan_capacity > 0
-            || self.result_capacity > 0
-            || self.column_capacity > 0
+        SessionConfig { capacity: DEFAULT_CACHE_CAPACITY.max(workers * 1024) }
     }
 }
 
@@ -115,12 +91,12 @@ pub struct ExecSession {
     results: Mutex<Lru<DbKey, Result<Arc<ResultSet>, ExecError>>>,
     columns: Mutex<Lru<(u128, usize), Arc<ColumnTable>>>,
     /// Statement-level parse cache (reads *and* writes), keyed by raw SQL.
-    /// Sized like `parse`; its traffic reports under the parse counters.
+    /// Its traffic reports under the parse counters.
     stmts: Mutex<Lru<String, Option<Arc<Statement>>>>,
     /// Write plans keyed by the *pre-write* fingerprint: applying the plan
     /// changes the fingerprint, so stale write plans can never be replayed
-    /// against the mutated state. Sized like `plans`; traffic reports under
-    /// the plan counters.
+    /// against the mutated state. Its traffic reports under the plan
+    /// counters.
     wplans: Mutex<Lru<DbKey, Result<Arc<WritePlan>, ExecError>>>,
     counters: CacheCounters,
     ops: ExecOpCounters,
@@ -150,19 +126,20 @@ impl ExecSession {
     /// caching entirely (every call computes directly, no cache stats
     /// recorded).
     pub fn new(capacity: usize) -> Self {
-        Self::with_config(SessionConfig::uniform(capacity))
+        Self::with_config(SessionConfig { capacity })
     }
 
-    /// A session with per-stage capacities from a [`SessionConfig`].
+    /// A session whose every LRU is bounded by `cfg.capacity`.
     pub fn with_config(cfg: SessionConfig) -> Self {
+        let cap = cfg.capacity;
         ExecSession {
             cfg,
-            parse: Mutex::new(Lru::new(cfg.parse_capacity)),
-            plans: Mutex::new(Lru::new(cfg.plan_capacity)),
-            results: Mutex::new(Lru::new(cfg.result_capacity)),
-            columns: Mutex::new(Lru::new(cfg.column_capacity)),
-            stmts: Mutex::new(Lru::new(cfg.parse_capacity)),
-            wplans: Mutex::new(Lru::new(cfg.plan_capacity)),
+            parse: Mutex::new(Lru::new(cap)),
+            plans: Mutex::new(Lru::new(cap)),
+            results: Mutex::new(Lru::new(cap)),
+            columns: Mutex::new(Lru::new(cap)),
+            stmts: Mutex::new(Lru::new(cap)),
+            wplans: Mutex::new(Lru::new(cap)),
             counters: CacheCounters::default(),
             ops: ExecOpCounters::default(),
         }
@@ -180,16 +157,16 @@ impl ExecSession {
         Arc::new(Self::with_config(cfg))
     }
 
-    /// A pass-through session: identical API and engine, capacity 0 on every
-    /// stage, so nothing is memoized. The uncached path
-    /// (`repro --no-exec-cache`).
+    /// A pass-through session: identical API and engine, capacity 0, so
+    /// nothing is memoized. The uncached path (`repro --no-exec-cache`), and
+    /// what a caller passes to any session-taking function to run uncached.
     pub fn disabled() -> Arc<Self> {
         Arc::new(Self::new(0))
     }
 
-    /// Whether any stage of this session caches.
+    /// Whether this session caches at all.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.is_enabled()
+        self.cfg.capacity > 0
     }
 
     /// The sizing configuration of this session.

@@ -426,6 +426,12 @@ fn same_result_tolerance_off_the_diagonal() {
     // NaNs with different bits stay apart: only identical bits short-cut the
     // tolerance test.
     assert!(!close(f(f64::NAN), f(-f64::NAN)));
+    // An infinite cell is close only to itself: the relative bound would be
+    // infinite, so the tolerance applies to finite pairs alone.
+    assert!(!close(f(f64::INFINITY), f(1.0)));
+    assert!(!close(f(f64::INFINITY), Value::Int(7)));
+    assert!(!close(f(f64::INFINITY), f(f64::NEG_INFINITY)));
+    assert!(!close(f(f64::MAX), f(f64::INFINITY)));
     assert!(!close(Value::Null, Value::Int(0)));
     assert!(!close(Value::Text("1".into()), Value::Int(1)));
 }

@@ -25,7 +25,7 @@
 
 use crate::error_analysis::{classify, FailureMode};
 use crate::metrics::ex_match_str;
-use engine::Database;
+use engine::SessionDb;
 use sqlkit::{Level, Query};
 use std::fmt::Write as _;
 
@@ -125,14 +125,16 @@ pub struct Verdict {
     pub mode: FailureMode,
 }
 
-/// Attribute one example's outcome to a module.
+/// Attribute one example's outcome to a module, executing on the bound
+/// database.
 ///
 /// Returns `None` when the final SQL is EX-correct ([`FailureMode::Correct`]
 /// or [`FailureMode::EquivalentForm`]) — there is no loss to attribute — and
 /// otherwise the first-violated-module verdict per the cascade in the module
-/// docs.
-pub fn attribute(trace: &TraceSummary, gold: &Query, db: &Database) -> Option<Verdict> {
-    let mode = classify(&trace.final_sql, gold, db);
+/// docs. Every parse and execution goes through the session, so attribution
+/// reuses what the vote and scoring already cached there.
+pub fn attribute(trace: &TraceSummary, gold: &Query, sdb: &SessionDb<'_, '_>) -> Option<Verdict> {
+    let mode = classify(sdb, &trace.final_sql, gold);
     if matches!(mode, FailureMode::Correct | FailureMode::EquivalentForm) {
         return None;
     }
@@ -144,9 +146,9 @@ pub fn attribute(trace: &TraceSummary, gold: &Query, db: &Database) -> Option<Ve
     } else if trace.support_level.is_none() {
         Blame::DemoSupportGap
     } else {
-        let raw_ok: Vec<bool> = trace.samples.iter().map(|s| ex_match_str(s, gold, db)).collect();
+        let raw_ok: Vec<bool> = trace.samples.iter().map(|s| ex_match_str(sdb, s, gold)).collect();
         let adapted_ok: Vec<bool> =
-            trace.adapted.iter().map(|s| ex_match_str(s, gold, db)).collect();
+            trace.adapted.iter().map(|s| ex_match_str(sdb, s, gold)).collect();
         let regressed = raw_ok.iter().zip(&adapted_ok).any(|(&raw, &adapted)| raw && !adapted);
         if regressed {
             Blame::AdaptionRegression
@@ -255,7 +257,7 @@ impl AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::Value;
+    use engine::{Database, ExecSession, Value};
     use sqlkit::{parse, Column, ColumnType, Schema, Table};
 
     fn db() -> Database {
@@ -309,42 +311,48 @@ mod tests {
     #[test]
     fn ex_correct_final_sql_yields_no_verdict() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let mut t = healthy_but_wrong();
         t.final_sql = GOLD.into();
-        assert_eq!(attribute(&t, &gold(), &db), None);
+        assert_eq!(attribute(&t, &gold(), &sdb), None);
         // EquivalentForm counts as EX-correct too.
         t.final_sql = "SELECT name FROM t WHERE id < 2".into();
-        assert_eq!(attribute(&t, &gold(), &db), None);
+        assert_eq!(attribute(&t, &gold(), &sdb), None);
     }
 
     #[test]
     fn cascade_blames_the_first_violated_module() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = gold();
         // Recall miss outranks everything downstream, even a topk miss.
         let mut t = healthy_but_wrong();
         t.recall_covered = false;
         t.gold_in_topk = false;
-        assert_eq!(attribute(&t, &gold, &db).unwrap().blame, Blame::PruningRecallMiss);
+        assert_eq!(attribute(&t, &gold, &sdb).unwrap().blame, Blame::PruningRecallMiss);
 
         let mut t = healthy_but_wrong();
         t.gold_in_topk = false;
         t.support_level = None;
-        assert_eq!(attribute(&t, &gold, &db).unwrap().blame, Blame::SkeletonTopKMiss);
+        assert_eq!(attribute(&t, &gold, &sdb).unwrap().blame, Blame::SkeletonTopKMiss);
 
         let mut t = healthy_but_wrong();
         t.support_level = None;
-        assert_eq!(attribute(&t, &gold, &db).unwrap().blame, Blame::DemoSupportGap);
+        assert_eq!(attribute(&t, &gold, &sdb).unwrap().blame, Blame::DemoSupportGap);
     }
 
     #[test]
     fn adaption_regression_needs_a_correct_raw_sample_turned_wrong() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = gold();
         let mut t = healthy_but_wrong();
         t.samples = vec![GOLD.into(), WRONG.into()];
         t.adapted = vec![WRONG.into(), WRONG.into()];
-        let v = attribute(&t, &gold, &db).unwrap();
+        let v = attribute(&t, &gold, &sdb).unwrap();
         assert_eq!(v.blame, Blame::AdaptionRegression);
         assert_eq!(v.mode, FailureMode::WrongValue);
     }
@@ -352,28 +360,32 @@ mod tests {
     #[test]
     fn vote_misselection_needs_a_surviving_correct_sample() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = gold();
         let mut t = healthy_but_wrong();
         t.samples = vec![WRONG.into(), WRONG.into()];
         t.adapted = vec![WRONG.into(), GOLD.into()];
-        assert_eq!(attribute(&t, &gold, &db).unwrap().blame, Blame::VoteMisselection);
+        assert_eq!(attribute(&t, &gold, &sdb).unwrap().blame, Blame::VoteMisselection);
         // Regression outranks misselection when both patterns are present.
         t.samples = vec![GOLD.into(), WRONG.into()];
-        assert_eq!(attribute(&t, &gold, &db).unwrap().blame, Blame::AdaptionRegression);
+        assert_eq!(attribute(&t, &gold, &sdb).unwrap().blame, Blame::AdaptionRegression);
     }
 
     #[test]
     fn hallucination_carries_the_first_fixer_category() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = gold();
         let mut t = healthy_but_wrong();
         t.fixes = vec!["missing-table".into(), "column-ambiguity".into()];
-        let v = attribute(&t, &gold, &db).unwrap();
+        let v = attribute(&t, &gold, &sdb).unwrap();
         assert_eq!(v.blame, Blame::LlmHallucination);
         assert_eq!(v.category, Some(obs::Fixer::MissingTable));
 
         t.fixes.clear();
-        let v = attribute(&t, &gold, &db).unwrap();
+        let v = attribute(&t, &gold, &sdb).unwrap();
         assert_eq!(v.blame, Blame::LlmHallucination);
         assert_eq!(v.category, None);
     }
@@ -381,17 +393,19 @@ mod tests {
     #[test]
     fn report_counts_sum_to_ex_losses_and_renders_every_class() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = gold();
         let mut report = AttributionReport::default();
         let mut t = healthy_but_wrong();
-        report.add(attribute(&t, &gold, &db).as_ref()); // hallucination, no category
+        report.add(attribute(&t, &gold, &sdb).as_ref()); // hallucination, no category
         t.fixes = vec!["missing-table".into()];
-        report.add(attribute(&t, &gold, &db).as_ref()); // hallucination, categorized
+        report.add(attribute(&t, &gold, &sdb).as_ref()); // hallucination, categorized
         t.final_sql = GOLD.into();
-        report.add(attribute(&t, &gold, &db).as_ref()); // EX-correct
+        report.add(attribute(&t, &gold, &sdb).as_ref()); // EX-correct
         let mut t = healthy_but_wrong();
         t.recall_covered = false;
-        report.add(attribute(&t, &gold, &db).as_ref()); // recall miss
+        report.add(attribute(&t, &gold, &sdb).as_ref()); // recall miss
 
         assert_eq!(report.total, 4);
         assert_eq!(report.ex_correct, 1);
@@ -409,6 +423,27 @@ mod tests {
             assert!(md.contains(f.name()), "missing category row for {}", f.name());
         }
         assert!(md.contains("uncategorized"));
+    }
+
+    #[test]
+    fn attribution_executes_through_the_given_session() {
+        let db = db();
+        let gold = gold();
+        let session = ExecSession::shared();
+        let sdb = session.bind(&db);
+        // A misselection walks the final SQL and every raw and adapted sample.
+        let mut t = healthy_but_wrong();
+        t.adapted = vec![WRONG.into(), GOLD.into()];
+        let uncached = ExecSession::disabled();
+        let verdict = attribute(&t, &gold, &sdb);
+        assert_eq!(verdict, attribute(&t, &gold, &uncached.bind(&db)));
+        assert_eq!(verdict.unwrap().blame, Blame::VoteMisselection);
+        // Attributing again is served from the session's result cache.
+        let before = session.stats().result;
+        attribute(&t, &gold, &sdb);
+        let after = session.stats().result;
+        assert!(after.hits > before.hits);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! like SELECT reports.
 
 use crate::harness::{assemble, par_map, seed_for, EvalReport, ExampleScore, Translation};
+use crate::metrics::{em_match, ex_match};
 use engine::{Database, ExecSession, StatementOutcome, WriteOutcome};
 use obs::{Counter, Stage, StageMetrics};
 use spidergen::{StatementKind, WriteBenchmark, WriteExample};
@@ -105,13 +106,16 @@ fn score_dml(
     let mut metrics = StageMetrics::default();
     let predicted = session.parse_statement(&t.sql);
     let (em, ex_hit, ts) = match &ex.statement {
-        // Read draws score exactly like the classic harness.
-        Statement::Select(gold) => {
-            let sdb = session.bind(db);
-            let em = crate::metrics::em_match_str(&t.sql, gold, &db.schema);
-            let ex_hit = crate::metrics::ex_match_str_with(&sdb, &t.sql, gold);
-            (em, ex_hit, ex_hit)
-        }
+        // Read draws score exactly like the classic harness, from the one
+        // parse: a text parses as a SELECT statement exactly when it parses
+        // as a query.
+        Statement::Select(gold) => match predicted.as_deref() {
+            Some(Statement::Select(pred)) => {
+                let ex_hit = ex_match(&session.bind(db), pred, gold);
+                (em_match(pred, gold, &db.schema), ex_hit, ex_hit)
+            }
+            _ => (false, false, false),
+        },
         gold => {
             let gold_outcome =
                 apply_to_clone(session, db, gold).expect("gold DML statements always apply");
@@ -151,30 +155,19 @@ fn score_dml(
     }
 }
 
-/// Evaluate an NL→DML translator over a profile-driven split; serial path.
+/// Evaluate an NL→DML translator over a profile-driven split on up to `jobs`
+/// worker threads, executing through `session` ([`ExecSession::disabled`]
+/// runs uncached).
 ///
 /// The resulting [`EvalReport`] has the standard shape (`has_ts` is always
 /// set: affected-row checks need no distilled suites), so it archives, diffs
-/// and gates like any SELECT report.
+/// and gates like any SELECT report. Scores fold in example order, so the
+/// report is identical for any `jobs` count and either cache mode.
 pub fn evaluate_dml(
-    translator: &dyn StatementTranslator,
-    bench: &WriteBenchmark,
-    session: &ExecSession,
-) -> EvalReport {
-    let scores = bench.examples.iter().enumerate().map(|(idx, ex)| {
-        let db = bench.db_of(ex);
-        score_dml(translator.run(DmlJob { idx, example: ex, db }), ex, db, session)
-    });
-    assemble(translator.name(), bench.name.clone(), scores, bench.examples.len(), true)
-}
-
-/// [`evaluate_dml`] across up to `jobs` worker threads. Scores fold in example
-/// order, so the report is identical to the serial one for any `jobs` count.
-pub fn evaluate_dml_par(
     translator: &(dyn StatementTranslator + Sync),
     bench: &WriteBenchmark,
-    session: &ExecSession,
     jobs: usize,
+    session: &ExecSession,
 ) -> EvalReport {
     let n = bench.examples.len();
     let scores = par_map(n, jobs, |idx| {
@@ -183,6 +176,17 @@ pub fn evaluate_dml_par(
         score_dml(translator.run(DmlJob { idx, example: ex, db }), ex, db, session)
     });
     assemble(translator.name(), bench.name.clone(), scores.into_iter(), n, true)
+}
+
+/// [`evaluate_dml`] under its former name and argument order, kept while
+/// perfbench calls it (ROADMAP item 5 moves perfbench and deletes this).
+pub fn evaluate_dml_par(
+    translator: &(dyn StatementTranslator + Sync),
+    bench: &WriteBenchmark,
+    session: &ExecSession,
+    jobs: usize,
+) -> EvalReport {
+    evaluate_dml(translator, bench, jobs, session)
 }
 
 #[cfg(test)]
@@ -209,7 +213,7 @@ mod tests {
     #[test]
     fn oracle_scores_100_on_state_metrics() {
         let bench = dml_split(31, 40);
-        let report = evaluate_dml(&DmlOracle, &bench, &ExecSession::disabled());
+        let report = evaluate_dml(&DmlOracle, &bench, 1, &ExecSession::disabled());
         assert_eq!(report.overall.em_pct(), 100.0, "EM");
         assert_eq!(report.overall.ex_pct(), 100.0, "EX");
         assert_eq!(report.overall.ts_pct(), 100.0, "TS");
@@ -221,7 +225,7 @@ mod tests {
     fn canonical_databases_stay_pristine() {
         let bench = dml_split(33, 30);
         let before: Vec<u128> = bench.databases.iter().map(|d| d.fingerprint()).collect();
-        evaluate_dml(&DmlOracle, &bench, &ExecSession::disabled());
+        evaluate_dml(&DmlOracle, &bench, 1, &ExecSession::disabled());
         let after: Vec<u128> = bench.databases.iter().map(|d| d.fingerprint()).collect();
         assert_eq!(before, after, "scoring must never mutate the benchmark databases");
     }
@@ -238,7 +242,7 @@ mod tests {
             }
         }
         let bench = dml_split(35, 20);
-        let report = evaluate_dml(&Garbage, &bench, &ExecSession::disabled());
+        let report = evaluate_dml(&Garbage, &bench, 1, &ExecSession::disabled());
         assert_eq!(report.overall.em_pct(), 0.0);
         assert_eq!(report.overall.ex_pct(), 0.0);
         assert_eq!(report.overall.ts_pct(), 0.0);
@@ -267,7 +271,7 @@ mod tests {
         let bench = dml_split(37, 40);
         let has_noop_upsert = bench.examples.iter().any(|e| e.kind == StatementKind::Upsert);
         assert!(has_noop_upsert, "split should include upserts");
-        let report = evaluate_dml(&Reader, &bench, &ExecSession::disabled());
+        let report = evaluate_dml(&Reader, &bench, 1, &ExecSession::disabled());
         let write_ex: usize = report
             .examples
             .iter()
@@ -300,9 +304,9 @@ mod tests {
     fn parallel_evaluation_matches_serial_for_any_job_count() {
         let bench = dml_split(39, 50);
         let session = ExecSession::shared();
-        let serial = evaluate_dml(&IdxSensitive, &bench, &session);
+        let serial = evaluate_dml(&IdxSensitive, &bench, 1, &session);
         for jobs in [1, 2, 4, 33] {
-            let par = evaluate_dml_par(&IdxSensitive, &bench, &session, jobs);
+            let par = evaluate_dml(&IdxSensitive, &bench, jobs, &session);
             assert_eq!(serial, par, "jobs={jobs}");
         }
     }
@@ -310,9 +314,9 @@ mod tests {
     #[test]
     fn reports_are_identical_across_cache_configs() {
         let bench = dml_split(41, 40);
-        let base = evaluate_dml(&IdxSensitive, &bench, &ExecSession::disabled());
+        let base = evaluate_dml(&IdxSensitive, &bench, 1, &ExecSession::disabled());
         for session in [ExecSession::shared(), ExecSession::disabled()] {
-            let r = evaluate_dml_par(&IdxSensitive, &bench, &session, 4);
+            let r = evaluate_dml(&IdxSensitive, &bench, 4, &session);
             assert_eq!(base, r, "cached={}", session.is_enabled());
         }
     }
@@ -320,7 +324,7 @@ mod tests {
     #[test]
     fn hardness_buckets_follow_statement_kind() {
         let bench = dml_split(43, 60);
-        let report = evaluate_dml(&DmlOracle, &bench, &ExecSession::disabled());
+        let report = evaluate_dml(&DmlOracle, &bench, 1, &ExecSession::disabled());
         for (outcome, ex) in report.examples.iter().zip(&bench.examples) {
             assert_eq!(outcome.hardness as usize, dml_hardness(ex));
         }
@@ -332,7 +336,7 @@ mod tests {
     #[test]
     fn dml_reports_round_trip_through_the_report_codec() {
         let bench = dml_split(45, 30);
-        let report = evaluate_dml(&IdxSensitive, &bench, &ExecSession::shared());
+        let report = evaluate_dml(&IdxSensitive, &bench, 1, &ExecSession::shared());
         let json = crate::reportio::report_to_json(&report);
         let back = crate::reportio::report_from_json(&json).expect("decodes");
         assert_eq!(back.overall, report.overall);

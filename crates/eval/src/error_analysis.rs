@@ -3,8 +3,8 @@
 //! slips (right skeleton, wrong columns/tables), wrong constants (EM-exact but
 //! execution-different), execution errors, and parse failures.
 
-use crate::metrics::{em_match, ex_match_with};
-use engine::{Database, ExecSession, SessionDb};
+use crate::metrics::{em_match, ex_match};
+use engine::SessionDb;
 use sqlkit::{exact_set_match, Query, Skeleton};
 use std::collections::BTreeMap;
 
@@ -46,16 +46,13 @@ impl FailureMode {
     }
 }
 
-/// Classify one prediction against its gold query and database.
-pub fn classify(pred_sql: &str, gold: &Query, db: &Database) -> FailureMode {
-    classify_with(&ExecSession::disabled().bind(db), pred_sql, gold)
-}
-
-/// [`classify`] through a bound execution session: the prediction's parse and
-/// both executions are memoized, so re-classifying predictions already scored
-/// by the harness costs no extra engine runs. Returns exactly what
-/// [`classify`] returns for the same inputs.
-pub fn classify_with(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> FailureMode {
+/// Classify one prediction against its gold query on the bound database.
+///
+/// The prediction's parse and both executions go through the session, so
+/// re-classifying predictions already scored through the same session costs
+/// no extra engine runs; bind [`engine::ExecSession::disabled`] to run
+/// uncached, with the same verdict.
+pub fn classify(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> FailureMode {
     let Some(pred) = sdb.session().parse(pred_sql) else {
         return FailureMode::ParseError;
     };
@@ -64,7 +61,7 @@ pub fn classify_with(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> F
     }
     let db = sdb.db();
     let em = em_match(&pred, gold, &db.schema);
-    let ex = ex_match_with(sdb, &pred, gold);
+    let ex = ex_match(sdb, &pred, gold);
     if em && ex {
         return FailureMode::Correct;
     }
@@ -125,7 +122,7 @@ impl ErrorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::Value;
+    use engine::{Database, ExecSession, Value};
     use sqlkit::{parse, Column, ColumnType, Schema, Table};
 
     fn db() -> Database {
@@ -162,30 +159,32 @@ mod tests {
     fn classifies_every_mode() {
         let db = db();
         let gold = gold();
-        assert_eq!(classify("SELECT name FROM t WHERE id = 1", &gold, &db), FailureMode::Correct);
-        assert_eq!(classify("not sql at all", &gold, &db), FailureMode::ParseError);
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
+        assert_eq!(classify(&sdb, "SELECT name FROM t WHERE id = 1", &gold), FailureMode::Correct);
+        assert_eq!(classify(&sdb, "not sql at all", &gold), FailureMode::ParseError);
         assert_eq!(
-            classify("SELECT nope FROM t WHERE id = 1", &gold, &db),
+            classify(&sdb, "SELECT nope FROM t WHERE id = 1", &gold),
             FailureMode::ExecutionError
         );
         // Wrong constant: same structure, different rows.
         assert_eq!(
-            classify("SELECT name FROM t WHERE id = 2", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE id = 2", &gold),
             FailureMode::WrongValue
         );
         // Wrong linking: same skeleton, different column.
         assert_eq!(
-            classify("SELECT grp FROM t WHERE id = 1", &gold, &db),
+            classify(&sdb, "SELECT grp FROM t WHERE id = 1", &gold),
             FailureMode::WrongSchemaLinking
         );
         // Wrong composition: extra operator structure with different result.
         assert_eq!(
-            classify("SELECT name FROM t WHERE id = 1 OR id = 2", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE id = 1 OR id = 2", &gold),
             FailureMode::WrongComposition
         );
         // Equivalent form: boundary shift keeps the result, breaks EM.
         assert_eq!(
-            classify("SELECT name FROM t WHERE id < 2", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE id < 2", &gold),
             FailureMode::EquivalentForm
         );
     }
@@ -196,7 +195,8 @@ mod tests {
         let gold = gold();
         let session = ExecSession::shared();
         let sdb = session.bind(&db);
-        for pred in [
+        let uncached = ExecSession::disabled();
+        let preds = [
             "SELECT name FROM t WHERE id = 1",
             "not sql at all",
             "SELECT nope FROM t WHERE id = 1",
@@ -204,31 +204,47 @@ mod tests {
             "SELECT grp FROM t WHERE id = 1",
             "SELECT name FROM t WHERE id = 1 OR id = 2",
             "SELECT name FROM t WHERE id < 2",
-        ] {
-            assert_eq!(classify_with(&sdb, pred, &gold), classify(pred, &gold, &db), "{pred}");
+        ];
+        for pred in preds {
+            assert_eq!(
+                classify(&sdb, pred, &gold),
+                classify(&uncached.bind(&db), pred, &gold),
+                "{pred}"
+            );
         }
+        // Classifying again executes through the given session: every
+        // execution is a result hit.
+        let before = session.stats().result;
+        for pred in preds {
+            classify(&sdb, pred, &gold);
+        }
+        let after = session.stats().result;
+        assert!(after.hits > before.hits);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[test]
     fn wrong_value_vs_wrong_schema_linking_boundary() {
         let db = db();
         let gold = gold();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         // Same skeleton, same schema items, only the constant differs: EM holds
         // (values are masked) so the wrong result can only come from the value.
         assert_eq!(
-            classify("SELECT name FROM t WHERE id = 3", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE id = 3", &gold),
             FailureMode::WrongValue
         );
         // Same skeleton but a different schema item in the predicate: EM breaks
         // while the shape is right — a linking slip, not a wrong value, even
         // though the constant differs too.
         assert_eq!(
-            classify("SELECT name FROM t WHERE grp = 'y'", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE grp = 'y'", &gold),
             FailureMode::WrongSchemaLinking
         );
         // Swapped columns with the gold constant land on the same side.
         assert_eq!(
-            classify("SELECT grp FROM t WHERE id = 1", &gold, &db),
+            classify(&sdb, "SELECT grp FROM t WHERE id = 1", &gold),
             FailureMode::WrongSchemaLinking
         );
     }
@@ -237,16 +253,18 @@ mod tests {
     fn equivalent_form_outranks_skeleton_comparison() {
         let db = db();
         let gold = gold();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         // Structurally different but EX-equal: EX is checked before skeletons,
         // so this is the equivalence band, not wrong-composition.
         assert_eq!(
-            classify("SELECT name FROM t WHERE id = 1 AND id = 1", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE id = 1 AND id = 1", &gold),
             FailureMode::EquivalentForm
         );
         // A schema-item substitution that happens to return the gold rows is
         // also equivalent-form (grp = 'x' selects exactly row 1).
         assert_eq!(
-            classify("SELECT name FROM t WHERE grp = 'x'", &gold, &db),
+            classify(&sdb, "SELECT name FROM t WHERE grp = 'x'", &gold),
             FailureMode::EquivalentForm
         );
     }
@@ -255,13 +273,15 @@ mod tests {
     fn execution_and_parse_failures_outrank_everything() {
         let db = db();
         let gold = gold();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         // An unparsable prediction never reaches execution.
-        assert_eq!(classify("", &gold, &db), FailureMode::ParseError);
-        assert_eq!(classify("SELECT FROM WHERE", &gold, &db), FailureMode::ParseError);
+        assert_eq!(classify(&sdb, "", &gold), FailureMode::ParseError);
+        assert_eq!(classify(&sdb, "SELECT FROM WHERE", &gold), FailureMode::ParseError);
         // A parsable prediction over a hallucinated schema item fails at
         // execution, before any EM/EX comparison.
         assert_eq!(
-            classify("SELECT name FROM ghost WHERE id = 1", &gold, &db),
+            classify(&sdb, "SELECT name FROM ghost WHERE id = 1", &gold),
             FailureMode::ExecutionError
         );
     }

@@ -1,8 +1,10 @@
 //! Evaluation harness: run any NL2SQL translator over a benchmark split and report
 //! EM / EX / TS accuracy, per-hardness breakdown (Fig. 9), and token consumption
-//! (Fig. 11). Evaluation is available serially ([`evaluate`]) and across worker
-//! threads ([`evaluate_par`]); both produce identical reports because translators
-//! are stateless (`&self`) and seeded purely by example position.
+//! (Fig. 11). [`evaluate`] scores a split on up to `jobs` worker threads through
+//! one execution session, and [`evaluate_with`] does the same for a custom
+//! per-job runner; the report is identical for any `jobs` count and with the
+//! cache on or off, because translators are stateless (`&self`), seeded purely
+//! by example position, and a cache hit returns what the engine would compute.
 //!
 //! # Borrowed vs. owned job types
 //!
@@ -35,8 +37,8 @@
 //! also opens each run's [`obs::Probe`] ([`RunEnv::probe`]).
 
 use crate::attribution::AttributionReport;
-use crate::metrics::{em_match, ex_match_with};
-use crate::testsuite::{build_suite, ts_match_with, SuiteConfig, TestSuite};
+use crate::metrics::{em_match, ex_match};
+use crate::testsuite::{build_suite, ts_match, SuiteConfig, TestSuite};
 use engine::{Database, ExecSession};
 use llm::CostLedger;
 use obs::{Clock, EventSink, MetricsRegistry, Probe, StageMetrics};
@@ -320,7 +322,7 @@ impl RunOutcome {
 /// `run` takes `&self` so a single instance can serve many examples
 /// concurrently; all per-call randomness must derive from the job (see
 /// [`Job::seed`]). Two calls with the same job must return the same translation
-/// regardless of order or thread interleaving — [`evaluate_par`] relies on this
+/// regardless of order or thread interleaving — [`evaluate`] relies on this
 /// contract, and it extends to metrics: a run's [`StageMetrics`] must be a pure
 /// function of the job (guaranteed by the default [`obs::Clock::Virtual`]).
 ///
@@ -519,8 +521,8 @@ fn score_outcome(
     let (em, ex_hit, ts) = match session.parse(&t.sql) {
         Some(pred) => (
             em_match(&pred, &ex.query, &db.schema),
-            ex_match_with(&session.bind(db), &pred, &ex.query),
-            suites.is_some_and(|s| ts_match_with(session, &pred, &ex.query, &s[ex.db_index])),
+            ex_match(&session.bind(db), &pred, &ex.query),
+            suites.is_some_and(|s| ts_match(session, &pred, &ex.query, &s[ex.db_index])),
         ),
         None => (false, false, false),
     };
@@ -533,17 +535,6 @@ fn score_outcome(
         hardness: ex.hardness as usize,
         metrics: outcome.metrics,
     }
-}
-
-fn score_example(
-    translator: &dyn Translator,
-    idx: usize,
-    ex: &Example,
-    db: &Database,
-    suites: Option<&[TestSuite]>,
-    session: &ExecSession,
-) -> ExampleScore {
-    score_outcome(translator.run(Job::new(idx, ex, db)), ex, db, suites, session)
 }
 
 pub(crate) fn assemble(
@@ -586,85 +577,39 @@ pub(crate) fn assemble(
     }
 }
 
-/// Evaluate a translator over a split. `suites` enables the TS metric.
+/// Evaluate a translator over a split on up to `jobs` worker threads. `suites`
+/// enables the TS metric.
 ///
-/// Scoring executes without memoization; use [`evaluate_with_session`] to
-/// share an [`ExecSession`] across examples. Both produce identical reports.
+/// Scoring executes through `session`: gold-query runs (EX and each TS
+/// instance) are memoized across examples and across systems sharing the
+/// session. Pass [`ExecSession::disabled`] to run uncached. The session's
+/// caches are thread-safe and memoize values that are pure functions of
+/// (database, SQL), so neither the cache nor worker interleaving can change
+/// the report — only which executions are recomputed. Examples are scored in
+/// contiguous chunks and folded in example order, so the [`EvalReport`] is
+/// identical for any `jobs` (clamped to `1..=examples`), including the
+/// floating-point token averages (the summation order is fixed).
 pub fn evaluate(
-    translator: &dyn Translator,
-    bench: &Benchmark,
-    suites: Option<&[TestSuite]>,
-) -> EvalReport {
-    evaluate_with_session(translator, bench, suites, &ExecSession::disabled())
-}
-
-/// [`evaluate`] with a shared execution session: gold-query runs (EX and each
-/// TS instance) are memoized across examples and across systems sharing the
-/// session. Cache state never feeds the report — only which executions are
-/// recomputed — so the [`EvalReport`] is byte-identical to [`evaluate`]'s.
-pub fn evaluate_with_session(
-    translator: &dyn Translator,
-    bench: &Benchmark,
-    suites: Option<&[TestSuite]>,
-    session: &ExecSession,
-) -> EvalReport {
-    let scores = bench
-        .examples
-        .iter()
-        .enumerate()
-        .map(|(idx, ex)| score_example(translator, idx, ex, bench.db_of(ex), suites, session));
-    assemble(translator.name(), bench.name.clone(), scores, bench.examples.len(), suites.is_some())
-}
-
-/// Evaluate a translator over a split using up to `jobs` worker threads.
-///
-/// Examples are scored in contiguous chunks on scoped worker threads, then the
-/// per-example scores are folded in example order — the resulting
-/// [`EvalReport`] is identical to [`evaluate`]'s for any `jobs`, including the
-/// floating-point token averages (the summation order is fixed). `jobs` is
-/// clamped to `1..=examples`; with one job (or fewer than two examples) this
-/// delegates to the serial path.
-pub fn evaluate_par(
-    translator: &(dyn Translator + Sync),
-    bench: &Benchmark,
-    suites: Option<&[TestSuite]>,
-    jobs: usize,
-) -> EvalReport {
-    evaluate_par_with_session(translator, bench, suites, jobs, &ExecSession::disabled())
-}
-
-/// [`evaluate_par`] with a shared execution session. The session's caches are
-/// thread-safe and memoize values that are pure functions of (database,
-/// SQL), so worker interleaving can only change which thread pays for a
-/// computation — never its value — and the report stays identical to the
-/// serial, uncached one for any `jobs` count.
-pub fn evaluate_par_with_session(
     translator: &(dyn Translator + Sync),
     bench: &Benchmark,
     suites: Option<&[TestSuite]>,
     jobs: usize,
     session: &ExecSession,
 ) -> EvalReport {
-    let n = bench.examples.len();
-    let scores = par_map(n, jobs, |idx| {
-        let ex = &bench.examples[idx];
-        score_example(translator, idx, ex, bench.db_of(ex), suites, session)
-    });
-    assemble(translator.name(), bench.name.clone(), scores.into_iter(), n, suites.is_some())
+    evaluate_with(translator.name(), bench, suites, jobs, session, |job| (translator.run(job), ()))
+        .0
 }
 
-/// Evaluate with a custom per-job runner that yields an extra per-example
+/// [`evaluate`] with a custom per-job runner that yields an extra per-example
 /// value alongside the run outcome (e.g. a blame verdict derived from the
 /// run's trace).
 ///
 /// The runner receives a bare [`Job`] and may decorate it
 /// (`job.with_trace(true).with_events(...)`) before running the system.
-/// Scores fold exactly like [`evaluate_par`]'s — in example order — and the
+/// Scores fold exactly like [`evaluate`]'s — in example order — and the
 /// extras come back as a `Vec` in example order, so both the report and the
-/// extras are identical for any `jobs` count. Scoring goes through `session`;
-/// pass [`ExecSession::disabled`] for uncached evaluation (same report either
-/// way).
-pub fn evaluate_with_par<T, F>(
+/// extras are identical for any `jobs` count and either cache mode.
+pub fn evaluate_with<T, F>(
     system: String,
     bench: &Benchmark,
     suites: Option<&[TestSuite]>,
@@ -677,15 +622,20 @@ where
     F: Fn(Job<'_>) -> (RunOutcome, T) + Sync,
 {
     let n = bench.examples.len();
-    let (scores, extras): (Vec<ExampleScore>, Vec<T>) = par_map(n, jobs, |idx| {
+    let scored = par_map(n, jobs, |idx| {
         let ex = &bench.examples[idx];
         let db = bench.db_of(ex);
         let (outcome, extra) = run(Job::new(idx, ex, db));
         (score_outcome(outcome, ex, db, suites, session), extra)
-    })
-    .into_iter()
-    .unzip();
-    let report = assemble(system, bench.name.clone(), scores.into_iter(), n, suites.is_some());
+    });
+    // The extras are split off while the scores stream into the fold, so the
+    // scores are never held twice.
+    let mut extras = Vec::with_capacity(n);
+    let scores = scored.into_iter().map(|(score, extra)| {
+        extras.push(extra);
+        score
+    });
+    let report = assemble(system, bench.name.clone(), scores, n, suites.is_some());
     (report, extras)
 }
 
@@ -750,7 +700,8 @@ mod tests {
     fn oracle_scores_100_on_all_metrics() {
         let suite = generate_suite(&GenConfig::tiny(21));
         let suites = build_suites(&suite.dev, SuiteConfig::default(), 5);
-        let report = evaluate(&OracleTranslator, &suite.dev, Some(&suites));
+        let report =
+            evaluate(&OracleTranslator, &suite.dev, Some(&suites), 1, &ExecSession::disabled());
         assert_eq!(report.overall.em_pct(), 100.0, "EM");
         assert_eq!(report.overall.ex_pct(), 100.0, "EX");
         assert_eq!(report.overall.ts_pct(), 100.0, "TS");
@@ -775,7 +726,7 @@ mod tests {
             }
         }
         let suite = generate_suite(&GenConfig::tiny(22));
-        let report = evaluate(&Garbage, &suite.dev, None);
+        let report = evaluate(&Garbage, &suite.dev, None, 1, &ExecSession::disabled());
         assert_eq!(report.overall.em_pct(), 0.0);
         assert_eq!(report.overall.ex_pct(), 0.0);
         assert!(!report.has_ts);
@@ -785,7 +736,7 @@ mod tests {
     #[test]
     fn summary_formats() {
         let suite = generate_suite(&GenConfig::tiny(23));
-        let report = evaluate(&OracleTranslator, &suite.dev, None);
+        let report = evaluate(&OracleTranslator, &suite.dev, None, 1, &ExecSession::disabled());
         assert!(report.summary().contains("EM 100.0%"));
     }
 
@@ -822,29 +773,30 @@ mod tests {
     fn parallel_evaluation_matches_serial_for_any_job_count() {
         let suite = generate_suite(&GenConfig::tiny(24));
         let suites = build_suites(&suite.dev, SuiteConfig::default(), 7);
-        let serial = evaluate(&IdxSensitive, &suite.dev, Some(&suites));
+        let session = ExecSession::disabled();
+        let serial = evaluate(&IdxSensitive, &suite.dev, Some(&suites), 1, &session);
         for jobs in [1, 2, 4, 33] {
-            let par = evaluate_par(&IdxSensitive, &suite.dev, Some(&suites), jobs);
+            let par = evaluate(&IdxSensitive, &suite.dev, Some(&suites), jobs, &session);
             assert_eq!(serial, par, "jobs={jobs}");
         }
     }
 
     #[test]
-    fn evaluate_with_par_matches_serial_and_orders_extras() {
+    fn evaluate_with_matches_serial_and_orders_extras() {
         let suite = generate_suite(&GenConfig::tiny(24));
         let run = |job: Job<'_>| (IdxSensitive.run(job), job.idx);
         let session = ExecSession::disabled();
         let (serial, base_extras) =
-            evaluate_with_par("with-par".into(), &suite.dev, None, 1, &session, run);
+            evaluate_with("with-par".into(), &suite.dev, None, 1, &session, run);
         assert_eq!(base_extras, (0..suite.dev.examples.len()).collect::<Vec<_>>());
         for jobs in [2, 4, 33] {
             let (par, extras) =
-                evaluate_with_par("with-par".into(), &suite.dev, None, jobs, &session, run);
+                evaluate_with("with-par".into(), &suite.dev, None, jobs, &session, run);
             assert_eq!(serial, par, "jobs={jobs}");
             assert_eq!(extras, base_extras, "jobs={jobs}");
         }
         // The plain harness produces the same report for the same runner.
-        let mut plain = evaluate(&IdxSensitive, &suite.dev, None);
+        let mut plain = evaluate(&IdxSensitive, &suite.dev, None, 1, &session);
         plain.system = "with-par".into();
         assert_eq!(plain, serial);
     }
@@ -853,11 +805,11 @@ mod tests {
     fn session_scoring_matches_uncached_for_any_job_count() {
         let suite = generate_suite(&GenConfig::tiny(24));
         let suites = build_suites(&suite.dev, SuiteConfig::default(), 7);
-        let uncached = evaluate(&IdxSensitive, &suite.dev, Some(&suites));
+        let uncached =
+            evaluate(&IdxSensitive, &suite.dev, Some(&suites), 1, &ExecSession::disabled());
         let session = ExecSession::shared();
         for jobs in [1, 4] {
-            let cached =
-                evaluate_par_with_session(&IdxSensitive, &suite.dev, Some(&suites), jobs, &session);
+            let cached = evaluate(&IdxSensitive, &suite.dev, Some(&suites), jobs, &session);
             assert_eq!(uncached, cached, "jobs={jobs}");
         }
         let stats = session.stats();
@@ -868,10 +820,11 @@ mod tests {
     fn parallel_evaluation_handles_degenerate_inputs() {
         let mut suite = generate_suite(&GenConfig::tiny(25));
         // jobs=0 clamps to 1; an empty split must not panic.
-        let report = evaluate_par(&OracleTranslator, &suite.dev, None, 0);
+        let session = ExecSession::disabled();
+        let report = evaluate(&OracleTranslator, &suite.dev, None, 0, &session);
         assert_eq!(report.overall.em_pct(), 100.0);
         suite.dev.examples.clear();
-        let empty = evaluate_par(&OracleTranslator, &suite.dev, None, 8);
+        let empty = evaluate(&OracleTranslator, &suite.dev, None, 8, &session);
         assert_eq!(empty.overall.n, 0);
         assert_eq!(empty.avg_prompt_tokens, 0.0);
     }

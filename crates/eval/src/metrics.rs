@@ -1,11 +1,14 @@
 //! Exact-Set Match and Execution Match metrics (§V-A2).
 //!
-//! The session-mediated forms memoize executions in the session; EX/TS
-//! verdicts are identical with the cache on or off because a cache hit returns
-//! exactly the result set the engine would compute (DESIGN.md §10).
+//! Execution goes through a bound [`SessionDb`]: plans and results are
+//! memoized per (database fingerprint, canonical SQL), so the gold query of an
+//! example costs one engine run no matter how many predictions it is scored
+//! against. Bind [`engine::ExecSession::disabled`] to run uncached; EX/TS
+//! verdicts are identical either way because a cache hit returns exactly the
+//! result set the engine would compute (DESIGN.md §10).
 
-use engine::{execute, order_matters, Database, SessionDb};
-use sqlkit::{exact_set_match, parse, Query, Schema};
+use engine::{order_matters, SessionDb};
+use sqlkit::{exact_set_match, Query, Schema};
 
 /// Exact-Set Match: clause-level set comparison with values masked and aliases
 /// resolved (Spider's official EM).
@@ -13,40 +16,10 @@ pub fn em_match(pred: &Query, gold: &Query, schema: &Schema) -> bool {
     exact_set_match(pred, gold, schema)
 }
 
-/// EM on a raw predicted string: a prediction that does not parse never matches.
-pub fn em_match_str(pred_sql: &str, gold: &Query, schema: &Schema) -> bool {
-    match parse(pred_sql) {
-        Ok(pred) => em_match(&pred, gold, schema),
-        Err(_) => false,
-    }
-}
-
-/// Execution Match: identical results on the benchmark database. Order-sensitive
+/// Execution Match: identical results on the bound database. Order-sensitive
 /// exactly when the gold query orders its output (mirroring Spider's evaluation,
 /// which string-matches `ORDER BY` in the gold SQL).
-pub fn ex_match(pred: &Query, gold: &Query, db: &Database) -> bool {
-    let Ok(pred_rs) = execute(db, pred) else {
-        return false;
-    };
-    let Ok(gold_rs) = execute(db, gold) else {
-        return false;
-    };
-    pred_rs.same_result(&gold_rs, order_matters(gold))
-}
-
-/// EX on a raw predicted string.
-pub fn ex_match_str(pred_sql: &str, gold: &Query, db: &Database) -> bool {
-    match parse(pred_sql) {
-        Ok(pred) => ex_match(&pred, gold, db),
-        Err(_) => false,
-    }
-}
-
-/// [`ex_match`] through a bound execution session: plans and results are
-/// memoized per (database fingerprint, canonical SQL), so the gold query of an
-/// example costs one engine run no matter how many predictions it is scored
-/// against. Returns exactly what [`ex_match`] returns for the same inputs.
-pub fn ex_match_with(sdb: &SessionDb<'_, '_>, pred: &Query, gold: &Query) -> bool {
+pub fn ex_match(sdb: &SessionDb<'_, '_>, pred: &Query, gold: &Query) -> bool {
     let Ok(pred_rs) = sdb.execute(pred) else {
         return false;
     };
@@ -56,11 +29,11 @@ pub fn ex_match_with(sdb: &SessionDb<'_, '_>, pred: &Query, gold: &Query) -> boo
     pred_rs.same_result(&gold_rs, order_matters(gold))
 }
 
-/// [`ex_match_str`] through a bound execution session; the parse result is
-/// memoized alongside plans and results.
-pub fn ex_match_str_with(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> bool {
+/// EX on a raw predicted string, parsed through the session: a prediction
+/// that does not parse never matches.
+pub fn ex_match_str(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> bool {
     match sdb.session().parse(pred_sql) {
-        Some(pred) => ex_match_with(sdb, &pred, gold),
+        Some(pred) => ex_match(sdb, &pred, gold),
         None => false,
     }
 }
@@ -68,8 +41,8 @@ pub fn ex_match_str_with(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::Value;
-    use sqlkit::{Column, ColumnType, Table};
+    use engine::{Database, ExecSession, Value};
+    use sqlkit::{parse, Column, ColumnType, Table};
 
     fn db() -> Database {
         let mut s = Schema::new("d");
@@ -102,37 +75,44 @@ mod tests {
         // The EX-false-positive effect the paper discusses: different semantics,
         // same result on this data.
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = parse("SELECT name FROM t WHERE id < 3").unwrap();
         let pred = parse("SELECT name FROM t WHERE grp = 'x'").unwrap();
-        assert!(ex_match(&pred, &gold, &db));
+        assert!(ex_match(&sdb, &pred, &gold));
         assert!(!em_match(&pred, &gold, &db.schema));
     }
 
     #[test]
     fn ex_respects_order_when_gold_orders() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = parse("SELECT name FROM t ORDER BY id DESC").unwrap();
         let pred = parse("SELECT name FROM t ORDER BY id ASC").unwrap();
-        assert!(!ex_match(&pred, &gold, &db));
+        assert!(!ex_match(&sdb, &pred, &gold));
         // Unordered gold tolerates row order differences.
         let gold2 = parse("SELECT name FROM t").unwrap();
-        assert!(ex_match(&pred, &gold2, &db));
+        assert!(ex_match(&sdb, &pred, &gold2));
     }
 
     #[test]
     fn unparseable_or_failing_predictions_never_match() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = parse("SELECT name FROM t").unwrap();
-        assert!(!em_match_str("SELEC name FRM t", &gold, &db.schema));
-        assert!(!ex_match_str("SELECT nope FROM t", &gold, &db));
-        assert!(!ex_match_str("SELECT name FROM missing", &gold, &db));
+        assert!(!ex_match_str(&sdb, "SELEC name FRM t", &gold));
+        assert!(!ex_match_str(&sdb, "SELECT nope FROM t", &gold));
+        assert!(!ex_match_str(&sdb, "SELECT name FROM missing", &gold));
     }
 
     #[test]
     fn session_ex_agrees_with_direct_ex() {
         let db = db();
-        let session = engine::ExecSession::shared();
+        let session = ExecSession::shared();
         let sdb = session.bind(&db);
+        let uncached = ExecSession::disabled();
         let gold = parse("SELECT name FROM t WHERE id < 3").unwrap();
         for pred_sql in [
             "SELECT name FROM t WHERE grp = 'x'",
@@ -141,23 +121,27 @@ mod tests {
             "SELEC name FRM t",
         ] {
             assert_eq!(
-                ex_match_str_with(&sdb, pred_sql, &gold),
-                ex_match_str(pred_sql, &gold, &db),
+                ex_match_str(&sdb, pred_sql, &gold),
+                ex_match_str(&uncached.bind(&db), pred_sql, &gold),
                 "{pred_sql}"
             );
         }
-        // Scoring the same predictions again is served from the result cache.
-        let before = session.stats().result.hits;
-        assert!(ex_match_str_with(&sdb, "SELECT name FROM t WHERE grp = 'x'", &gold));
-        assert!(session.stats().result.hits > before);
+        // Scoring the same prediction again executes through the given
+        // session: both runs are served from its result cache.
+        let before = session.stats().result;
+        assert!(ex_match_str(&sdb, "SELECT name FROM t WHERE grp = 'x'", &gold));
+        let after = session.stats().result;
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (2, 0));
     }
 
     #[test]
     fn em_ignores_values_ex_does_not() {
         let db = db();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&db);
         let gold = parse("SELECT name FROM t WHERE id = 1").unwrap();
         let pred = parse("SELECT name FROM t WHERE id = 2").unwrap();
         assert!(em_match(&pred, &gold, &db.schema));
-        assert!(!ex_match(&pred, &gold, &db));
+        assert!(!ex_match(&sdb, &pred, &gold));
     }
 }

@@ -93,31 +93,20 @@ pub fn build_suite(
     TestSuite { databases: kept }
 }
 
-/// TS accuracy check: the prediction must produce the gold result on every instance
-/// of the suite (gold executing successfully on all of them by construction).
-/// [`ts_match_with`] over [`ExecSession::disabled`]: the same engine, uncached.
-pub fn ts_match(pred: &Query, gold: &Query, suite: &TestSuite) -> bool {
-    ts_match_with(&ExecSession::disabled(), pred, gold, suite)
-}
-
-/// TS on a raw predicted string.
-pub fn ts_match_str(pred_sql: &str, gold: &Query, suite: &TestSuite) -> bool {
-    match sqlkit::parse(pred_sql) {
-        Ok(pred) => ts_match(&pred, gold, suite),
-        Err(_) => false,
-    }
-}
-
-/// [`ts_match`] through an execution session: every suite instance is bound to
-/// the session, so gold executions (one per instance) are memoized across all
-/// predictions scored against the same suite. Returns exactly what
-/// [`ts_match`] returns for the same inputs.
+/// TS accuracy check: the prediction must produce the gold result on every
+/// instance of the suite (gold executing successfully on all of them by
+/// construction).
+///
+/// Every suite instance is bound to `session`, so gold executions (one per
+/// instance) are memoized across all predictions scored against the same
+/// suite; pass [`ExecSession::disabled`] to run uncached, with the same
+/// verdict.
 ///
 /// A prediction that prints as the gold query matches without executing
 /// anything. The verdict is already fixed: print-equal queries share one
 /// session cache key, so on every instance the loop would compare a result
 /// with itself, and [`engine::ResultSet::same_result`] is reflexive.
-pub fn ts_match_with(session: &ExecSession, pred: &Query, gold: &Query, suite: &TestSuite) -> bool {
+pub fn ts_match(session: &ExecSession, pred: &Query, gold: &Query, suite: &TestSuite) -> bool {
     if pred.to_string() == gold.to_string() {
         return true;
     }
@@ -372,7 +361,8 @@ mod tests {
         let gold = parse("SELECT name FROM t WHERE id < 3").unwrap();
         let coincident = parse("SELECT name FROM t WHERE grp = 'x'").unwrap();
         // EX-equal on the original instance:
-        assert!(crate::metrics::ex_match(&coincident, &gold, &db));
+        let session = ExecSession::disabled();
+        assert!(crate::metrics::ex_match(&session.bind(&db), &coincident, &gold));
         // Distillation keeps instances until every neighbor of a probe dies,
         // and `grp = 'x'` is no neighbor of `id < 3`: whether one suite
         // separates the two depends on its seed, so the claim is a rate. Over
@@ -382,8 +372,8 @@ mod tests {
         for seed in 0..200 {
             let suite = build_suite(&db, &[&gold, &coincident], cfg, seed);
             assert!(suite.databases.len() > 1, "seed {seed}: distillation kept no fuzzed instance");
-            assert!(ts_match(&gold, &gold, &suite));
-            separated += usize::from(!ts_match(&coincident, &gold, &suite));
+            assert!(ts_match(&session, &gold, &gold, &suite));
+            separated += usize::from(!ts_match(&session, &coincident, &gold, &suite));
         }
         assert!(separated >= 140, "suites separated the coincident query on {separated}/200 seeds");
     }
@@ -396,8 +386,9 @@ mod tests {
         let gold = parse("SELECT name FROM t").unwrap();
         let wrong = parse("SELECT grp FROM t WHERE id = 1").unwrap();
         let suite = build_suite(&db, &[&gold], SuiteConfig::default(), 7);
-        assert!(!crate::metrics::ex_match(&wrong, &gold, &db));
-        assert!(!ts_match(&wrong, &gold, &suite));
+        let session = ExecSession::disabled();
+        assert!(!crate::metrics::ex_match(&session.bind(&db), &wrong, &gold));
+        assert!(!ts_match(&session, &wrong, &gold, &suite));
     }
 
     #[test]
@@ -412,6 +403,7 @@ mod tests {
             1234,
         );
         let session = ExecSession::shared();
+        let uncached = ExecSession::disabled();
         // Two rewrites of the gold that print differently but match it on
         // every instance (ids are integer primary keys from 1), so each walks
         // the whole suite.
@@ -420,8 +412,8 @@ mod tests {
         {
             let pred = parse(pred).unwrap();
             assert_ne!(pred.to_string(), gold.to_string());
-            assert!(ts_match_with(&session, &pred, &gold, &suite), "{pred}");
-            assert!(ts_match(&pred, &gold, &suite), "{pred}");
+            assert!(ts_match(&session, &pred, &gold, &suite), "{pred}");
+            assert!(ts_match(&uncached, &pred, &gold, &suite), "{pred}");
         }
         // The gold executions were cached per suite instance on the first call
         // and reused for the second prediction; each prediction ran once per
@@ -430,8 +422,8 @@ mod tests {
         let result = session.stats().result;
         assert_eq!((result.misses, result.hits), (3 * n, n));
         assert_eq!(
-            ts_match_with(&session, &coincident, &gold, &suite),
-            ts_match(&coincident, &gold, &suite)
+            ts_match(&session, &coincident, &gold, &suite),
+            ts_match(&uncached, &coincident, &gold, &suite)
         );
     }
 

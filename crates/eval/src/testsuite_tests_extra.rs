@@ -2,8 +2,8 @@
 //! `testsuite.rs` focused on the implementation.
 
 use crate::metrics::ex_match;
-use crate::testsuite::{build_suite, fuzz_instance, mutate, ts_match, ts_match_str, SuiteConfig};
-use engine::{Database, Value};
+use crate::testsuite::{build_suite, fuzz_instance, mutate, ts_match, SuiteConfig};
+use engine::{Database, ExecSession, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqlkit::{parse, Column, ColumnType, Schema, Table};
@@ -48,28 +48,33 @@ fn original_instance_is_always_first() {
 }
 
 #[test]
-fn ts_match_str_rejects_garbage_and_accepts_gold() {
+fn ts_rejects_garbage_and_accepts_gold() {
+    // The harness's path: one parse through the session, then TS on the AST;
+    // a prediction that does not parse scores false without reaching TS.
     let db = db();
     let gold = parse("SELECT name FROM t WHERE id <= 2").unwrap();
     let suite = build_suite(&db, &[&gold], SuiteConfig::default(), 5);
-    assert!(ts_match_str(&gold.to_string(), &gold, &suite));
-    assert!(!ts_match_str("SELECT nope FROM", &gold, &suite));
-    assert!(!ts_match_str("SELECT missing FROM t", &gold, &suite));
+    let session = ExecSession::disabled();
+    let ts = |sql: &str| session.parse(sql).is_some_and(|p| ts_match(&session, &p, &gold, &suite));
+    assert!(ts(&gold.to_string()));
+    assert!(!ts("SELECT nope FROM"));
+    assert!(!ts("SELECT missing FROM t"));
 }
 
 #[test]
 fn ts_catches_boundary_off_by_one_that_ex_misses() {
     // id < 3 vs id <= 2: truly equivalent on integer ids -> TS must also pass.
     let db = db();
+    let session = ExecSession::disabled();
     let gold = parse("SELECT name FROM t WHERE id < 3").unwrap();
     let equiv = parse("SELECT name FROM t WHERE id <= 2").unwrap();
     let suite = build_suite(&db, &[&gold], SuiteConfig::default(), 5);
-    assert!(ts_match(&equiv, &gold, &suite), "integer boundary shift is exact");
+    assert!(ts_match(&session, &equiv, &gold, &suite), "integer boundary shift is exact");
     // id < 3 vs id < 4: coincides only if no row has id = 3... here it differs
     // already on the original, sanity-check EX agrees.
     let wrong = parse("SELECT name FROM t WHERE id < 4").unwrap();
-    assert!(!ex_match(&wrong, &gold, &db));
-    assert!(!ts_match(&wrong, &gold, &suite));
+    assert!(!ex_match(&session.bind(&db), &wrong, &gold));
+    assert!(!ts_match(&session, &wrong, &gold, &suite));
 }
 
 #[test]
@@ -103,5 +108,5 @@ fn empty_probe_set_still_builds_a_usable_suite() {
     let suite = build_suite(&db, &[], SuiteConfig::default(), 1);
     assert_eq!(suite.databases.len(), 1, "no probes -> nothing to distill, original only");
     let gold = parse("SELECT name FROM t").unwrap();
-    assert!(ts_match(&gold, &gold, &suite));
+    assert!(ts_match(&ExecSession::disabled(), &gold, &gold, &suite));
 }

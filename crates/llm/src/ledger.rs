@@ -31,7 +31,7 @@ impl Totals {
 /// [`CostLedger::reset`] either lands entirely before the reset (and is wiped)
 /// or entirely after (and survives whole) — `totals` can never observe a call
 /// counted without its tokens. This matches the `obs::MetricsRegistry`
-/// convention; `evaluate_par` workers rely on it when sharing one ledger.
+/// convention; `eval::evaluate` workers rely on it when sharing one ledger.
 #[derive(Debug, Default)]
 pub struct CostLedger {
     inner: Mutex<Totals>,

@@ -5,14 +5,14 @@
 //! The fixers only run on SQL that fails to execute, so they "do not introduce
 //! undesired side effects to the valid SQL" (§IV-D1).
 //!
-//! All execution flows through an [`engine::SessionDb`], so the repair loop and
-//! the vote share one memoization layer: the 30 vote samples are typically a
-//! handful of distinct strings, and identical samples cost one execution. The
-//! `*_with` variants take an explicit bound session; the plain names run
-//! uncached. Repair outcomes and vote winners are identical either way, because
-//! a cache hit returns exactly the result set the engine would compute
-//! (DESIGN.md §10). Every vote records into the run's [`Probe`]
-//! ([`Probe::detached`] when nobody is watching).
+//! All execution flows through the run's [`engine::SessionDb`], so the repair
+//! loop and the vote share one memoization layer: the 30 vote samples are
+//! typically a handful of distinct strings, and identical samples cost one
+//! execution. Bind [`engine::ExecSession::disabled`] to run uncached; repair
+//! outcomes and vote winners are identical either way, because a cache hit
+//! returns exactly the result set the engine would compute (DESIGN.md §10).
+//! Every vote records into the run's [`Probe`] ([`Probe::detached`] when
+//! nobody is watching).
 
 use engine::{Database, ExecError, ExecSession, SessionDb};
 use obs::{Counter, EventValue, Fixer, MetricsRegistry, Probe, Stage};
@@ -53,15 +53,9 @@ pub struct AdaptResult {
 /// up to five times").
 pub const MAX_ATTEMPTS: usize = 5;
 
-/// Adapt one SQL string to the database (uncached compatibility form).
-pub fn adapt_sql(sql: &str, db: &Database, rng: &mut StdRng) -> AdaptResult {
-    let session = ExecSession::disabled();
-    adapt_sql_with(&session.bind(db), sql, rng)
-}
-
-/// Adapt one SQL string through a bound execution session: every execution in
-/// the repair loop (and its final check) hits the session's plan/result caches.
-pub fn adapt_sql_with(sdb: &SessionDb<'_, '_>, sql: &str, rng: &mut StdRng) -> AdaptResult {
+/// Adapt one SQL string to the bound database: every execution in the repair
+/// loop (and its final check) goes through the session's plan/result caches.
+pub fn adapt_sql(sdb: &SessionDb<'_, '_>, sql: &str, rng: &mut StdRng) -> AdaptResult {
     adapt_inner(sdb, sql, rng).0
 }
 
@@ -546,15 +540,9 @@ pub struct VoteOutcome {
 /// plain execution-consistency of C3 / DAIL-SQL / SQL-PaLM, and what remains of
 /// §IV-D when the "-Database Adaption" ablation removes the fixers. The vote is
 /// the run's consistency-vote stage on `probe`: it counts the samples and emits
-/// one `voted` event.
-pub fn raw_vote(samples: &[String], db: &Database, probe: &Probe<'_>) -> String {
-    let session = ExecSession::disabled();
-    raw_vote_with(samples, &session.bind(db), probe)
-}
-
-/// [`raw_vote`] through a bound execution session: duplicate samples execute
-/// once and EX scoring later reuses the same cached results.
-pub fn raw_vote_with(samples: &[String], sdb: &SessionDb<'_, '_>, probe: &Probe<'_>) -> String {
+/// one `voted` event. Samples execute through the bound session, so duplicate
+/// samples execute once and EX scoring later reuses the same cached results.
+pub fn raw_vote(samples: &[String], sdb: &SessionDb<'_, '_>, probe: &Probe<'_>) -> String {
     let stage = probe.stage(Stage::ConsistencyVote);
     probe.metrics().count(Counter::Samples, samples.len() as u64);
     let (result, executable) = raw_vote_inner(samples, sdb);
@@ -610,29 +598,18 @@ fn result_key(rs: &engine::ResultSet) -> String {
 /// On `probe`, the repair loop is the adaption stage (per-fixer hit/success
 /// counters included, and one `repair` event per sample the loop touched) and
 /// the tally is the consistency-vote stage, closed with one `voted` event.
-pub fn consistency_vote(
-    samples: &[String],
-    db: &Database,
-    rng: &mut StdRng,
-    probe: &Probe<'_>,
-) -> VoteOutcome {
-    let session = ExecSession::disabled();
-    consistency_vote_with(samples, &session.bind(db), rng, probe)
-}
-
-/// [`consistency_vote`] through a bound execution session.
 ///
-/// Identical samples are deduplicated *before* adaption: the first occurrence
-/// runs the repair loop, later occurrences replay its memoized outcome, so 30
-/// samples with 8 distinct strings cost 8 repair loops. Two invariants keep
-/// this invisible:
+/// Every execution goes through the bound session. Identical samples are
+/// deduplicated *before* adaption: the first occurrence runs the repair loop,
+/// later occurrences replay its memoized outcome, so 30 samples with 8
+/// distinct strings cost 8 repair loops. Two invariants keep this invisible:
 ///
 /// * **rng stream** — outcomes whose repair drew randomness (Column-Ambiguity)
 ///   are never memoized; those samples re-run the loop per occurrence, drawing
 ///   exactly the values the undeduplicated code drew.
 /// * **reports** — metrics and repair events are recorded per *occurrence*,
 ///   replayed or not, so `StageMetrics` and the event stream are byte-identical.
-pub fn consistency_vote_with(
+pub fn consistency_vote(
     samples: &[String],
     sdb: &SessionDb<'_, '_>,
     rng: &mut StdRng,
@@ -827,7 +804,7 @@ mod tests {
     }
 
     fn adapt(sql: &str) -> AdaptResult {
-        adapt_sql(sql, &db(), &mut StdRng::seed_from_u64(7))
+        adapt_sql(&ExecSession::disabled().bind(&db()), sql, &mut StdRng::seed_from_u64(7))
     }
 
     #[test]
@@ -877,8 +854,8 @@ mod tests {
     fn concat_executes_under_mysql_dialect_without_fixes() {
         let d = db().with_dialect(engine::Dialect::mysql());
         let r = adapt_sql(
+            &ExecSession::disabled().bind(&d),
             "SELECT CONCAT(series_name, ' ', country) FROM tv_channel",
-            &d,
             &mut StdRng::seed_from_u64(7),
         );
         assert!(r.executable, "{}", r.sql);
@@ -951,7 +928,8 @@ mod tests {
             "SELECT country FROM tv_channel WHERE id = 2".to_string(),
             "SELECT country FROM tv_channel WHERE id = 1".to_string(),
         ];
-        let v = consistency_vote(&samples, &d, &mut rng, &Probe::detached());
+        let session = ExecSession::disabled();
+        let v = consistency_vote(&samples, &session.bind(&d), &mut rng, &Probe::detached());
         assert!(v.executable);
         assert!(v.sql.contains("id = 1"), "{}", v.sql);
         assert_eq!(v.adapted.len(), samples.len(), "one adapted SQL per sample");
@@ -968,10 +946,12 @@ mod tests {
             .iter()
             .map(|id| format!("SELECT country FROM tv_channel WHERE id = {id}"))
             .collect();
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&d);
         for round in 0..64 {
             let probe = Probe::detached();
-            assert_eq!(raw_vote(&samples, &d, &probe), samples[0], "raw_vote, round {round}");
-            let v = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(5), &probe);
+            assert_eq!(raw_vote(&samples, &sdb, &probe), samples[0], "raw_vote, round {round}");
+            let v = consistency_vote(&samples, &sdb, &mut StdRng::seed_from_u64(5), &probe);
             assert_eq!(v.sql, samples[0], "consistency_vote, round {round}");
         }
     }
@@ -982,11 +962,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let samples =
             vec!["totally not sql".to_string(), "SELECT country FROM tv_channel".to_string()];
-        let v = consistency_vote(&samples, &d, &mut rng, &Probe::detached());
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&d);
+        let v = consistency_vote(&samples, &sdb, &mut rng, &Probe::detached());
         assert!(v.executable);
         assert!(v.sql.contains("country"));
         // And when nothing works, the first sample comes back.
-        let v = consistency_vote(&["garbage".to_string()], &d, &mut rng, &Probe::detached());
+        let v = consistency_vote(&["garbage".to_string()], &sdb, &mut rng, &Probe::detached());
         assert!(!v.executable);
         assert_eq!(v.sql, "garbage");
     }
@@ -1008,14 +990,15 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let probe = Probe::detached();
-        let uncached = consistency_vote(&samples, &d, &mut StdRng::seed_from_u64(11), &probe);
-        let session = ExecSession::shared();
-        let cached = consistency_vote_with(
+        let uncached = consistency_vote(
             &samples,
-            &session.bind(&d),
+            &ExecSession::disabled().bind(&d),
             &mut StdRng::seed_from_u64(11),
             &probe,
         );
+        let session = ExecSession::shared();
+        let cached =
+            consistency_vote(&samples, &session.bind(&d), &mut StdRng::seed_from_u64(11), &probe);
         assert_eq!(cached.sql, uncached.sql);
         assert_eq!(cached.executable, uncached.executable);
         assert_eq!(cached.fixes, uncached.fixes);
@@ -1034,7 +1017,9 @@ mod tests {
         ];
         let sink = obs::EventSink::bounded(1, 16);
         let probe = Probe::new(obs::Clock::Virtual, 0, None, Some(&sink), None);
-        let v = consistency_vote(&samples, &d, &mut rng, &probe);
+        let session = ExecSession::disabled();
+        let sdb = session.bind(&d);
+        let v = consistency_vote(&samples, &sdb, &mut rng, &probe);
         assert!(v.executable);
         probe.publish();
         let events = sink.drain().events;
@@ -1051,9 +1036,30 @@ mod tests {
         assert_eq!(voted.stage, "consistency-vote");
 
         let probe = Probe::new(obs::Clock::Virtual, 0, None, Some(&sink), None);
-        raw_vote(&samples, &d, &probe);
+        raw_vote(&samples, &sdb, &probe);
         probe.publish();
         assert_eq!(sink.drain().events.len(), 1, "raw vote emits exactly one event");
+    }
+
+    #[test]
+    fn raw_vote_executes_through_the_given_session() {
+        let d = db();
+        let samples: Vec<String> = [1, 2, 1, 3]
+            .iter()
+            .map(|id| format!("SELECT country FROM tv_channel WHERE id = {id}"))
+            .collect();
+        let session = ExecSession::shared();
+        let sdb = session.bind(&d);
+        let uncached = ExecSession::disabled();
+        let winner = raw_vote(&samples, &sdb, &Probe::detached());
+        assert_eq!(winner, raw_vote(&samples, &uncached.bind(&d), &Probe::detached()));
+        assert_eq!(winner, samples[0]);
+        // A second vote is served from the session's result cache, one hit
+        // per sample.
+        let before = session.stats().result;
+        raw_vote(&samples, &sdb, &Probe::detached());
+        let after = session.stats().result;
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (4, 0));
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod pruning;
 pub mod selection;
 
 pub use adaption::{
-    adapt_sql, adapt_sql_with, consistency_vote, consistency_vote_with, raw_vote, raw_vote_with,
-    record_adaption, write_vote, AdaptResult, VoteOutcome, MAX_ATTEMPTS,
+    adapt_sql, consistency_vote, raw_vote, record_adaption, write_vote, AdaptResult, VoteOutcome,
+    MAX_ATTEMPTS,
 };
 pub use automaton::{Automaton, AutomatonSet};
 pub use generation::{synthesize_demonstration, DemoMode};

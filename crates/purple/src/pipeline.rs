@@ -7,12 +7,12 @@
 //! [`TranslationTrace`] (when the job asks for one), and a per-run
 //! [`obs::StageMetrics`] snapshot covering every stage (DESIGN.md §8).
 
-use crate::adaption::{adapt_sql_with, consistency_vote_with, raw_vote_with};
+use crate::adaption::{adapt_sql, consistency_vote, raw_vote};
 use crate::automaton::AutomatonSet;
 use crate::generation::{synthesize_demonstration, DemoMode};
 use crate::pruning::{PruneConfig, PrunedSchema, SchemaPruner};
 use crate::selection::{random_fill, select_demonstrations, SelectionConfig};
-use engine::Database;
+use engine::{Database, SessionDb};
 use eval::{Job, RunEnv, Translation, Translator};
 use llm::{Demonstration, GenerationRequest, LlmProfile, LlmService, Prompt};
 use nlmodel::{SchemaClassifier, SkeletonPrediction, SkeletonPredictor, TrainConfig};
@@ -131,10 +131,11 @@ impl TranslationTrace {
         }
     }
 
-    /// Attribute this run's outcome to a pipeline module. `None` means the
-    /// final SQL was EX-correct — nothing to blame.
-    pub fn blame(&self, gold: &sqlkit::Query, db: &Database) -> Option<eval::Verdict> {
-        eval::attribute(&self.summary(gold), gold, db)
+    /// Attribute this run's outcome to a pipeline module, executing on the
+    /// bound database ([`eval::attribute`]). `None` means the final SQL was
+    /// EX-correct — nothing to blame.
+    pub fn blame(&self, gold: &sqlkit::Query, sdb: &SessionDb<'_, '_>) -> Option<eval::Verdict> {
+        eval::attribute(&self.summary(gold), gold, sdb)
     }
 }
 
@@ -434,10 +435,10 @@ impl Purple {
         // plain execution-consistency vote (§IV-D2 is shared with C3/DAIL-SQL).
         let sdb = untraced.with_tracer(probe.tracer());
         let (sql, fixes, adapted) = if self.cfg.use_adaption {
-            let v = consistency_vote_with(&response.samples, &sdb, &mut rng, &probe);
+            let v = consistency_vote(&response.samples, &sdb, &mut rng, &probe);
             (v.sql, v.fixes.iter().map(|f| f.to_string()).collect(), v.adapted)
         } else {
-            let sql = raw_vote_with(&response.samples, &sdb, &probe);
+            let sql = raw_vote(&response.samples, &sdb, &probe);
             (sql, Vec::new(), response.samples.clone())
         };
         let translation = Translation {
@@ -469,7 +470,7 @@ impl Purple {
     /// the error-adaption example binary). Uses the attached session when present.
     pub fn adapt(&self, sql: &str, db: &Database, seed: u64) -> crate::adaption::AdaptResult {
         let session = self.env.session_or_disabled();
-        adapt_sql_with(&session.bind(db), sql, &mut StdRng::seed_from_u64(seed))
+        adapt_sql(&session.bind(db), sql, &mut StdRng::seed_from_u64(seed))
     }
 }
 
@@ -510,11 +511,12 @@ mod tests {
         cfg.num_consistency = 5;
         cfg.demo_target = 5;
         let purple = Purple::new(&suite.train, cfg.clone());
-        let base = evaluate(&purple, &suite.dev, None);
+        let session = engine::ExecSession::disabled();
+        let base = evaluate(&purple, &suite.dev, None, 1, &session);
         let mut ablated_cfg = cfg;
         ablated_cfg.use_selection = false;
         let ablated = purple.with_config(ablated_cfg);
-        let rand_report = evaluate(&ablated, &suite.dev, None);
+        let rand_report = evaluate(&ablated, &suite.dev, None, 1, &session);
         assert!(
             base.overall.em_pct() > rand_report.overall.em_pct(),
             "selection {:.1} should beat random {:.1}",
@@ -670,11 +672,12 @@ mod tests {
             }
         }
         // Blame resolves on every trace and agrees with EX.
+        let session = engine::ExecSession::disabled();
         for (i, trace) in &traces {
             let ex = &suite.dev.examples[*i];
-            let db = suite.dev.db_of(ex);
-            let verdict = trace.blame(&ex.query, db);
-            let correct = eval::ex_match_str(&trace.sql, &ex.query, db);
+            let sdb = session.bind(suite.dev.db_of(ex));
+            let verdict = trace.blame(&ex.query, &sdb);
+            let correct = eval::ex_match_str(&sdb, &trace.sql, &ex.query);
             assert_eq!(verdict.is_none(), correct, "blame disagrees with EX on example {i}");
         }
     }

@@ -46,8 +46,9 @@ fn main() {
         "{:<24} {:>6} {:>6} {:>6}   {:>9} {:>9} {:>9} {:>9}",
         "system", "EM%", "EX%", "TS%", "easy", "medium", "hard", "extra"
     );
+    let session = ExecSession::shared();
     for sys in systems.iter() {
-        let r = evaluate_par(sys.as_ref(), &suite.dev, Some(&ts), 4);
+        let r = evaluate(sys.as_ref(), &suite.dev, Some(&ts), 4, &session);
         let cell =
             |i: usize| format!("{:.0}/{:.0}", r.by_hardness[i].em_pct(), r.by_hardness[i].ex_pct());
         println!(

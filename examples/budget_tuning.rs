@@ -12,6 +12,9 @@ fn main() {
     cfg.dev_examples = 80;
     let suite = generate_suite(&cfg);
     let base = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
+    // One session for the whole sweep: every configuration reuses the gold
+    // executions the first one cached.
+    let session = ExecSession::shared();
 
     println!(
         "{:>6} {:>5} {:>8} {:>7} {:>7} {:>11}",
@@ -29,7 +32,7 @@ fn main() {
             pc.len_budget = len;
             pc.num_consistency = num;
             let system = base.with_config(pc);
-            let r = evaluate(&system, &suite.dev, None);
+            let r = evaluate(&system, &suite.dev, None, 1, &session);
             println!(
                 "{len:>6} {num:>5} {:>8} {:>7.1} {:>7.1} {:>11.0}",
                 "ok",

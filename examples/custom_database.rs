@@ -93,8 +93,10 @@ fn main() {
         "SELECT COUNT(DISTINCT series_name, country) FROM tv_channel",
     ];
     let mut rng = StdRng::seed_from_u64(7);
+    let session = ExecSession::disabled();
+    let sdb = session.bind(&db);
     for sql in broken {
-        let fixed = purple::adapt_sql(sql, &db, &mut rng);
+        let fixed = purple::adapt_sql(&sdb, sql, &mut rng);
         println!("broken: {sql}");
         println!(
             "fixed:  {}   [{}{}]",

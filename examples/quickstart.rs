@@ -53,6 +53,6 @@ fn main() {
     }
 
     // 5. Score the whole validation split (EM = exact-set match, EX = execution).
-    let report = evaluate(&system, &suite.dev, None);
+    let report = evaluate(&system, &suite.dev, None, 1, &ExecSession::shared());
     println!("\n{}", report.summary());
 }

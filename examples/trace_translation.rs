@@ -56,12 +56,15 @@ fn main() {
         println!("repairs applied: {:?}", trace.fixes);
     }
     println!("\nfinal SQL: {}", trace.sql);
-    let em = eval::em_match_str(&trace.sql, &ex.query, &db.schema);
-    let exm = eval::ex_match_str(&trace.sql, &ex.query, db);
+    let session = ExecSession::shared();
+    let sdb = session.bind(db);
+    let pred = session.parse(&trace.sql);
+    let em = pred.is_some_and(|p| eval::em_match(&p, &ex.query, &db.schema));
+    let exm = eval::ex_match_str(&sdb, &trace.sql, &ex.query);
     println!("exact-set match: {em}, execution match: {exm}");
 
     println!("\n== Blame ==");
-    match trace.blame(&ex.query, db) {
+    match trace.blame(&ex.query, &sdb) {
         None => println!("EX-correct: nothing to blame"),
         Some(v) => {
             println!("blamed module: {}", v.blame.name());

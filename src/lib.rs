@@ -29,10 +29,12 @@
 //! let outcome = system.run(Job::new(0, ex, suite.dev.db_of(ex)));
 //! assert!(!outcome.translation.sql.is_empty());
 //!
-//! // 4. Score the whole split — serially, or across worker threads with
-//! //    bit-identical results (seeds derive from the example index).
-//! let report = evaluate(&system, &suite.dev, None);
-//! assert_eq!(report, evaluate_par(&system, &suite.dev, None, 4));
+//! // 4. Score the whole split through an execution session: one job with
+//! //    nothing cached, or four worker threads sharing a cache, with
+//! //    bit-identical results (seeds derive from the example index, and a
+//! //    cache hit returns what the engine would compute).
+//! let report = evaluate(&system, &suite.dev, None, 1, &ExecSession::disabled());
+//! assert_eq!(report, evaluate(&system, &suite.dev, None, 4, &ExecSession::shared()));
 //! assert!(report.overall.em_pct() > 0.0);
 //! ```
 //!
@@ -56,9 +58,8 @@ pub mod prelude {
         execute, prepare, run, Database, ExecSession, Plan, ResultSet, SessionConfig, Value,
     };
     pub use eval::{
-        attribute, build_suites, evaluate, evaluate_par, evaluate_par_with_session,
-        evaluate_with_par, evaluate_with_session, AttributionReport, Blame, Job, JobSpec, Request,
-        Response, RunEnv, SuiteConfig, TraceSummary, Translation, Translator, Verdict,
+        attribute, build_suites, evaluate, evaluate_with, AttributionReport, Blame, Job, JobSpec,
+        Request, Response, RunEnv, SuiteConfig, TraceSummary, Translation, Translator, Verdict,
     };
     pub use llm::{LlmService, Prompt, CHATGPT, GPT4};
     pub use obs::{Clock, EventSink, MetricsRegistry, StageMetrics};

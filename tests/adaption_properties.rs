@@ -29,6 +29,7 @@ fn case_input(seed: u64, end: u64) -> u64 {
 #[test]
 fn injected_hallucinations_are_diagnosed_and_repaired() {
     let (suite, goldens) = fixtures();
+    let uncached = ExecSession::disabled();
     for seed in 0..CASES {
         let input = case_input(seed, 10_000);
         let mut rng = StdRng::seed_from_u64(input);
@@ -47,7 +48,7 @@ fn injected_hallucinations_are_diagnosed_and_repaired() {
             Err(e) => assert_eq!(e.category(), category, "{case}"),
         }
         // Adaption restores executability.
-        let fixed = purple::adapt_sql(&broken_sql, db, &mut rng);
+        let fixed = purple::adapt_sql(&uncached.bind(db), &broken_sql, &mut rng);
         assert!(fixed.executable, "{case}: adaption failed: `{broken_sql}` -> `{}`", fixed.sql);
         assert!(fixed.fixes.contains(&category), "{case}: fix log {:?}", fixed.fixes);
     }
@@ -56,13 +57,14 @@ fn injected_hallucinations_are_diagnosed_and_repaired() {
 #[test]
 fn adaption_leaves_valid_gold_sql_untouched() {
     let (suite, goldens) = fixtures();
+    let uncached = ExecSession::disabled();
     for seed in 0..CASES {
         let ix = case_input(seed, 1000);
         let (db_index, gold) = &goldens[ix as usize % goldens.len()];
         let db = &suite.dev.databases[*db_index];
         let sql = gold.to_string();
         let case = format!("seed {seed}, case {ix}: `{sql}`");
-        let r = purple::adapt_sql(&sql, db, &mut StdRng::seed_from_u64(ix));
+        let r = purple::adapt_sql(&uncached.bind(db), &sql, &mut StdRng::seed_from_u64(ix));
         assert!(r.executable, "{case}");
         assert!(r.fixes.is_empty(), "{case}: gold SQL should need no fixes, got {:?}", r.fixes);
         assert_eq!(r.sql, sql, "{case}");
@@ -114,6 +116,7 @@ fn near_miss_through_a_shared_session_matches_the_uncached_path() {
 #[test]
 fn consistency_vote_is_order_insensitive_for_clean_samples() {
     let (suite, goldens) = fixtures();
+    let uncached = ExecSession::disabled();
     for seed in 0..CASES {
         let input = case_input(seed, 1000);
         let (db_index, gold) = &goldens[(input as usize) % goldens.len()];
@@ -122,7 +125,8 @@ fn consistency_vote_is_order_insensitive_for_clean_samples() {
         // Identical clean samples in any order vote to the same SQL.
         let samples = vec![sql.clone(), sql.clone(), sql.clone()];
         let mut rng = StdRng::seed_from_u64(input);
-        let v = purple::consistency_vote(&samples, db, &mut rng, &obs::Probe::detached());
+        let sdb = uncached.bind(db);
+        let v = purple::consistency_vote(&samples, &sdb, &mut rng, &obs::Probe::detached());
         let case = format!("seed {seed}, case {input}: `{sql}`");
         assert!(v.executable, "{case}");
         assert_eq!(v.sql, sql, "{case}");

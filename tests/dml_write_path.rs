@@ -5,7 +5,7 @@
 //! evaluation report must be byte-identical across cache modes and job counts.
 
 use purple_repro::engine::reference;
-use purple_repro::eval::{evaluate_dml_par, report_to_json, DmlOracle};
+use purple_repro::eval::{evaluate_dml, report_to_json, DmlOracle};
 use purple_repro::prelude::*;
 use purple_repro::spidergen::{
     dbgen::{instantiate, GeneratedDb, PerturbConfig},
@@ -121,13 +121,12 @@ fn session_caches_never_serve_stale_reads_across_mutations() {
 #[test]
 fn dml_reports_are_byte_identical_across_caches_and_jobs() {
     let bench = fixtures();
-    let baseline =
-        report_to_json(&evaluate_dml_par(&DmlOracle, bench, &ExecSession::disabled(), 1));
+    let baseline = report_to_json(&evaluate_dml(&DmlOracle, bench, 1, &ExecSession::disabled()));
     for jobs in [1usize, 4] {
         for (name, session) in
             [("cached", ExecSession::shared()), ("disabled", ExecSession::disabled())]
         {
-            let report = evaluate_dml_par(&DmlOracle, bench, &session, jobs);
+            let report = evaluate_dml(&DmlOracle, bench, jobs, &session);
             assert_eq!(report_to_json(&report), baseline, "{name} diverged at jobs={jobs}");
             assert_eq!(report.overall.em, report.overall.n, "oracle must score perfectly");
             assert_eq!(report.overall.ts, report.overall.n, "oracle must match every state");
@@ -146,7 +145,7 @@ fn read_only_profile_generates_selects_and_scores_standalone() {
         assert_eq!(ex.kind, StatementKind::Read);
         assert!(!ex.statement.is_write(), "read-only profile emitted a write: {}", ex.sql);
     }
-    let report = evaluate_dml_par(&DmlOracle, &bench, &ExecSession::shared(), 2);
+    let report = evaluate_dml(&DmlOracle, &bench, 2, &ExecSession::shared());
     assert_eq!(report.overall.em, report.overall.n, "oracle echo must EM on reads");
     assert_eq!(report.overall.ex, report.overall.n, "oracle echo must EX on reads");
 }

@@ -14,11 +14,11 @@ fn suite() -> Suite {
 fn purple_end_to_end_beats_zero_shot_on_both_metrics() {
     let suite = suite();
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
-    let purple_report = evaluate(&system, &suite.dev, None);
+    let purple_report = evaluate(&system, &suite.dev, None, 1, &ExecSession::disabled());
 
     let models = SharedModels::from_purple(&system);
     let zero = LlmBaseline::new(Strategy::ChatGptSql, CHATGPT, models);
-    let zero_report = evaluate(&zero, &suite.dev, None);
+    let zero_report = evaluate(&zero, &suite.dev, None, 1, &ExecSession::disabled());
 
     assert!(
         purple_report.overall.em_pct() > zero_report.overall.em_pct() + 10.0,
@@ -46,7 +46,7 @@ fn ts_never_exceeds_ex_and_em_is_value_blind() {
     let suite = suite();
     let ts = build_suites(&suite.dev, SuiteConfig::default(), 3);
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
-    let report = evaluate(&system, &suite.dev, Some(&ts));
+    let report = evaluate(&system, &suite.dev, Some(&ts), 1, &ExecSession::disabled());
     assert!(
         report.overall.ts <= report.overall.ex,
         "TS hits {} cannot exceed EX hits {} (suite includes the original instance)",
@@ -62,8 +62,8 @@ fn gpt4_profile_dominates_chatgpt_for_purple() {
     let base = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
     let chatgpt = base.with_config(PurpleConfig::default_with(CHATGPT));
     let gpt4 = base.with_config(PurpleConfig::default_with(GPT4));
-    let r35 = evaluate(&chatgpt, &suite.dev, None);
-    let r4 = evaluate(&gpt4, &suite.dev, None);
+    let r35 = evaluate(&chatgpt, &suite.dev, None, 1, &ExecSession::disabled());
+    let r4 = evaluate(&gpt4, &suite.dev, None, 1, &ExecSession::disabled());
     assert!(
         r4.overall.em_pct() >= r35.overall.em_pct(),
         "GPT4 {:.1} vs ChatGPT {:.1}",
@@ -98,10 +98,10 @@ fn variant_splits_are_harder_than_dev() {
     let suite = suite();
     let base = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
     let on_dev = base.with_config(PurpleConfig::default_with(CHATGPT));
-    let dev_em = evaluate(&on_dev, &suite.dev, None).overall.em_pct();
+    let dev_em = evaluate(&on_dev, &suite.dev, None, 1, &ExecSession::disabled()).overall.em_pct();
     for split in [&suite.dk, &suite.syn] {
         let sys = base.with_config(PurpleConfig::default_with(CHATGPT));
-        let em = evaluate(&sys, split, None).overall.em_pct();
+        let em = evaluate(&sys, split, None, 1, &ExecSession::disabled()).overall.em_pct();
         assert!(
             em <= dev_em + 5.0,
             "{} EM {:.1} should not beat plain dev {:.1} by a margin",
@@ -120,8 +120,8 @@ fn oracle_skeleton_does_not_hurt() {
     let mut oracle_cfg = PurpleConfig::default_with(CHATGPT);
     oracle_cfg.oracle_skeleton = true;
     let oracle_sys = base.with_config(oracle_cfg);
-    let d = evaluate(&default_sys, &suite.dev, None).overall.em_pct();
-    let o = evaluate(&oracle_sys, &suite.dev, None).overall.em_pct();
+    let d = evaluate(&default_sys, &suite.dev, None, 1, &ExecSession::disabled()).overall.em_pct();
+    let o = evaluate(&oracle_sys, &suite.dev, None, 1, &ExecSession::disabled()).overall.em_pct();
     assert!(o + 3.0 >= d, "oracle skeleton {:.1} should not trail default {:.1}", o, d);
 }
 

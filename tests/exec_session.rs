@@ -65,12 +65,11 @@ fn cached_reports_are_byte_identical_for_any_job_count() {
         purple_repro::eval::SuiteConfig::default(),
         11,
     );
-    let uncached =
-        evaluate_par_with_session(&system, &suite.dev, Some(&ts), 1, &ExecSession::disabled());
+    let uncached = evaluate(&system, &suite.dev, Some(&ts), 1, &ExecSession::disabled());
     let baseline = report_to_json(&uncached);
     for jobs in [1usize, 4] {
         let session = ExecSession::shared();
-        let cached = evaluate_par_with_session(&system, &suite.dev, Some(&ts), jobs, &session);
+        let cached = evaluate(&system, &suite.dev, Some(&ts), jobs, &session);
         assert_eq!(report_to_json(&cached), baseline, "cached report diverged at jobs={jobs}");
         let stats = session.stats();
         assert!(stats.result.hits > 0, "cache saw no result hits at jobs={jobs}: {stats:?}");

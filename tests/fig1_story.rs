@@ -72,7 +72,7 @@ fn except_and_not_in_disagree_on_this_data() {
     let gold = parse(GOLD).unwrap();
     let not_in = parse(NOT_IN).unwrap();
     // Semantically different here: Italy has a Casey-free channel (Rai 1).
-    assert!(!eval::ex_match(&not_in, &gold, &db));
+    assert!(!eval::ex_match(&ExecSession::disabled().bind(&db), &not_in, &gold));
     assert!(!eval::em_match(&not_in, &gold, &db.schema));
 }
 
@@ -118,7 +118,7 @@ fn keyword_sets_cannot_distinguish_reordered_compositions() {
     );
     // And the two queries disagree on data, so the collision matters.
     let db = tv_db();
-    assert!(!eval::ex_match(&swapped, &gold, &db));
+    assert!(!eval::ex_match(&ExecSession::disabled().bind(&db), &swapped, &gold));
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn adaption_repairs_the_din_sql_style_output() {
                tv_channel AS T1 JOIN cartoon AS T2 ON T1.id = T2.Channel WHERE T2.Written_by \
                = 'Todd Casey')";
     let mut rng = rand::SeedableRng::seed_from_u64(1);
-    let fixed = purple::adapt_sql(din, &db, &mut rng);
+    let fixed = purple::adapt_sql(&ExecSession::disabled().bind(&db), din, &mut rng);
     assert!(fixed.executable);
     assert!(fixed.fixes.is_empty(), "executable SQL must be untouched: {:?}", fixed.fixes);
     assert_eq!(fixed.sql, din);

@@ -17,10 +17,10 @@ fn suite() -> Suite {
 fn aggregated_metrics_json_is_byte_identical_across_job_counts() {
     let suite = suite();
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
-    let serial = evaluate(&system, &suite.dev, None);
+    let serial = evaluate(&system, &suite.dev, None, 1, &ExecSession::disabled());
     let serial_json = metrics_to_json(&serial.metrics);
     for jobs in [1usize, 4] {
-        let par = evaluate_par(&system, &suite.dev, None, jobs);
+        let par = evaluate(&system, &suite.dev, None, jobs, &ExecSession::shared());
         assert_eq!(
             serial_json,
             metrics_to_json(&par.metrics),
@@ -43,7 +43,7 @@ fn aggregated_metrics_json_is_byte_identical_across_job_counts() {
 fn aggregated_metrics_round_trip_through_json() {
     let suite = suite();
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
-    let report = evaluate(&system, &suite.dev, None);
+    let report = evaluate(&system, &suite.dev, None, 1, &ExecSession::disabled());
     let json = metrics_to_json(&report.metrics);
     let back = metrics_from_json(&json).expect("serialized metrics must parse");
     assert_eq!(report.metrics, back);
@@ -58,7 +58,7 @@ fn shared_registry_absorbs_all_events_under_parallel_evaluation() {
     let system = base
         .with_config(PurpleConfig::default_with(CHATGPT))
         .with_env(RunEnv::default().with_metrics(shared.clone()));
-    let report = evaluate_par(&system, &suite.dev, None, 4);
+    let report = evaluate(&system, &suite.dev, None, 4, &ExecSession::shared());
     let absorbed = shared.snapshot();
     // Absorption order across workers is nondeterministic, but counters, span
     // histograms, and fixer stats are all commutative merges — only gauges

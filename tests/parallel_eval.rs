@@ -1,7 +1,8 @@
 //! Parallel-evaluation contract tests: every translator is `Send + Sync`, and
-//! `evaluate_par` is bit-identical to serial `evaluate` for any job count
-//! (seeds derive from the example index, not from call order). Also round-trips
-//! an `EvalReport` through the hand-rolled JSON codec.
+//! `evaluate` on any job count with a shared execution session is
+//! bit-identical to one uncached job (seeds derive from the example index, not
+//! from call order, and a cache hit returns what the engine would compute).
+//! Also round-trips an `EvalReport` through the hand-rolled JSON codec.
 
 use purple_repro::eval::{report_from_json, report_to_json, EvalReport, OracleTranslator};
 use purple_repro::prelude::*;
@@ -27,9 +28,9 @@ fn translators_are_send_and_sync() {
 fn parallel_evaluation_matches_serial_for_purple() {
     let suite = suite();
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
-    let serial = evaluate(&system, &suite.dev, None);
+    let serial = evaluate(&system, &suite.dev, None, 1, &ExecSession::disabled());
     for jobs in [1usize, 4] {
-        let par = evaluate_par(&system, &suite.dev, None, jobs);
+        let par = evaluate(&system, &suite.dev, None, jobs, &ExecSession::shared());
         assert_eq!(serial, par, "jobs={jobs} diverged from serial for PURPLE");
     }
 }
@@ -40,9 +41,9 @@ fn parallel_evaluation_matches_serial_for_baseline() {
     let purple_sys = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
     let models = SharedModels::from_purple(&purple_sys);
     let baseline = LlmBaseline::new(Strategy::DailSql, CHATGPT, models);
-    let serial = evaluate(&baseline, &suite.dev, None);
+    let serial = evaluate(&baseline, &suite.dev, None, 1, &ExecSession::disabled());
     for jobs in [1usize, 4] {
-        let par = evaluate_par(&baseline, &suite.dev, None, jobs);
+        let par = evaluate(&baseline, &suite.dev, None, jobs, &ExecSession::shared());
         assert_eq!(serial, par, "jobs={jobs} diverged from serial for DAIL-SQL");
     }
 }
@@ -51,8 +52,8 @@ fn parallel_evaluation_matches_serial_for_baseline() {
 fn parallel_evaluation_matches_serial_with_test_suites() {
     let suite = suite();
     let ts = build_suites(&suite.dev, SuiteConfig::default(), 11);
-    let serial = evaluate(&OracleTranslator, &suite.dev, Some(&ts));
-    let par = evaluate_par(&OracleTranslator, &suite.dev, Some(&ts), 4);
+    let serial = evaluate(&OracleTranslator, &suite.dev, Some(&ts), 1, &ExecSession::disabled());
+    let par = evaluate(&OracleTranslator, &suite.dev, Some(&ts), 4, &ExecSession::shared());
     assert!(serial.has_ts);
     assert_eq!(serial, par, "TS-scored evaluation diverged under 4 jobs");
 }
@@ -62,7 +63,7 @@ fn eval_report_round_trips_through_json() {
     let suite = suite();
     let system = Purple::new(&suite.train, PurpleConfig::default_with(CHATGPT));
     let ts = build_suites(&suite.dev, SuiteConfig::default(), 11);
-    let report = evaluate(&system, &suite.dev, Some(&ts));
+    let report = evaluate(&system, &suite.dev, Some(&ts), 1, &ExecSession::disabled());
     let json = report_to_json(&report);
     let back: EvalReport = report_from_json(&json).expect("serialized report must parse");
     assert_eq!(report, back);

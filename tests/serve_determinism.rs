@@ -1,8 +1,8 @@
 //! Serving-layer determinism contract: the same request set pushed through
 //! the concurrent front-end at any worker count and in any arrival order
 //! yields byte-identical response bodies — and the report replayed from
-//! served traffic is byte-identical to a sequential
-//! [`evaluate_with_session`] pass over the same translator.
+//! served traffic is byte-identical to a sequential (one-job) [`evaluate`]
+//! pass over the same translator.
 
 use bench_harness::serve::{replay_report, run_load, synth_requests, ServeConfig, Server};
 use purple_repro::prelude::*;
@@ -58,6 +58,6 @@ fn any_worker_count_and_arrival_order_is_byte_identical() {
         assert_eq!(ref_report, report, "replayed report diverged at workers={workers}");
     }
     // And the served report is the sequential evaluation, byte for byte.
-    let direct = evaluate_with_session(fx.purple.as_ref(), &fx.bench, None, &fx.session);
+    let direct = evaluate(fx.purple.as_ref(), &fx.bench, None, 1, &fx.session);
     assert_eq!(ref_report, eval::report_to_json(&direct));
 }

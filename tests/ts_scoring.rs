@@ -4,7 +4,7 @@
 //! gives, through a shared session and through a disabled one.
 
 use llm::rewrites::{corrupting_rewrites, equivalent_rewrites};
-use purple_repro::eval::{ts_match_with, TestSuite};
+use purple_repro::eval::{ts_match, TestSuite};
 use purple_repro::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -65,8 +65,8 @@ fn ts_shortcut_matches_the_instance_loop_on_dev() {
             for (name, pred) in &candidates {
                 let want = instance_loop(pred, gold, ts);
                 let case = format!("seed {seed}, example {i}, {name}: `{pred}` vs gold `{gold}`");
-                assert_eq!(ts_match_with(&shared, pred, gold, ts), want, "shared: {case}");
-                assert_eq!(ts_match_with(&disabled, pred, gold, ts), want, "disabled: {case}");
+                assert_eq!(ts_match(&shared, pred, gold, ts), want, "shared: {case}");
+                assert_eq!(ts_match(&disabled, pred, gold, ts), want, "disabled: {case}");
                 if pred.to_string() == gold.to_string() {
                     shortcut += 1;
                 } else {

@@ -67,18 +67,13 @@ fn reports_are_byte_identical_across_cache_modes_and_job_counts() {
         purple_repro::eval::SuiteConfig::default(),
         11,
     );
-    let baseline = report_to_json(&evaluate_par_with_session(
-        &system,
-        &suite.dev,
-        Some(&ts),
-        1,
-        &ExecSession::disabled(),
-    ));
+    let baseline =
+        report_to_json(&evaluate(&system, &suite.dev, Some(&ts), 1, &ExecSession::disabled()));
     for jobs in [1usize, 4] {
         for (name, session) in
             [("cached", ExecSession::shared()), ("uncached", ExecSession::disabled())]
         {
-            let report = evaluate_par_with_session(&system, &suite.dev, Some(&ts), jobs, &session);
+            let report = evaluate(&system, &suite.dev, Some(&ts), jobs, &session);
             assert_eq!(report_to_json(&report), baseline, "{name} report diverged at jobs={jobs}");
         }
     }
