@@ -32,9 +32,34 @@ metrics)
     python3 -c "import json; m = json.load(open('$work/metrics.json')); assert m['counters']['llm_calls'] > 0, m"
     ;;
 cache)
-    "$REPRO" --scale tiny --jobs 2 --metrics "$work/cached.json"
-    "$REPRO" --scale tiny --jobs 2 --metrics "$work/uncached.json" --no-exec-cache
+    "$REPRO" --scale tiny --jobs 2 --metrics "$work/cached.json" >"$work/cached.txt"
+    "$REPRO" --scale tiny --jobs 2 --metrics "$work/uncached.json" --no-exec-cache \
+        >"$work/uncached.txt"
     cmp "$work/cached.json" "$work/uncached.json"
+    # The cache must be live, or the comparison above proves nothing: the
+    # cached run's `Exec cache` table shows result hits, a read-only run makes
+    # no plan lookup (only writes cache plans), and the uncached run's table
+    # is all zeros.
+    python3 - "$work/cached.txt" "$work/uncached.txt" <<'PY'
+import sys
+
+def table(path):
+    lines = open(path).read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Exec cache"))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        name, *values = line.split()
+        rows[name] = [float(v) for v in values]  # hits misses evictions entries hit%
+    assert list(rows) == ["parse", "plan", "result", "columns"], rows
+    return rows
+
+cached, uncached = table(sys.argv[1]), table(sys.argv[2])
+assert cached["result"][0] > 0, f"cached run made no result hits: {cached}"
+assert cached["plan"][:2] == [0, 0], f"read-only run made plan lookups: {cached}"
+assert all(v == 0 for row in uncached.values() for v in row), f"uncached run cached: {uncached}"
+PY
     # The metrics JSON holds no TS verdict; Table 4's printed EM/EX/TS does.
     "$REPRO" --scale tiny --only table4 --jobs 2 >"$work/table4-cached.txt"
     "$REPRO" --scale tiny --only table4 --jobs 2 --no-exec-cache >"$work/table4-uncached.txt"

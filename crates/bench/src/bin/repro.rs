@@ -262,7 +262,7 @@ fn parse_args() -> Args {
                      events as JSONL to PATH (byte-identical for any --jobs)\n\
                      --wall-clock    record real elapsed nanoseconds in --metrics spans \
                      instead of deterministic work units\n\
-                     --no-exec-cache disable the shared prepared-plan/result cache and \
+                     --no-exec-cache disable the shared parse/result cache and \
                      execute every query from scratch; reports are byte-identical with \
                      or without the cache\n\
                      --dml           run the NL→DML scenario family instead of the paper \

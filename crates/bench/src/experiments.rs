@@ -1060,11 +1060,6 @@ pub struct SimDmlTranslator {
 }
 
 impl SimDmlTranslator {
-    /// A translator voting through a disabled (pass-through) session.
-    pub fn new(base_seed: u64) -> Self {
-        SimDmlTranslator { base_seed, session: engine::ExecSession::disabled() }
-    }
-
     fn candidate(&self, ex: &spidergen::WriteExample, rng: &mut rand::rngs::StdRng) -> String {
         use rand::Rng;
         if rng.random_bool(0.7) {
@@ -1159,16 +1154,17 @@ impl eval::StatementTranslator for SimDmlTranslator {
 }
 
 /// Run the state-scored `dml` scenario family: generate the profile-driven
-/// split, translate with the simulated voting translator, apply through the
-/// session, and fold the report in example order — byte-identical for any
-/// `jobs` count, either engine, and with or without caches.
+/// split, translate with the simulated voting translator (both votes run
+/// through `session`), score through the same session, and fold the report in
+/// example order — byte-identical for any `jobs` count, either engine, and
+/// with or without caches.
 pub fn dml_eval(
     scale: crate::context::Scale,
     seed: u64,
     jobs: usize,
-    session: &engine::ExecSession,
+    session: &std::sync::Arc<engine::ExecSession>,
 ) -> EvalReport {
     let bench = dml_bench(scale, seed);
-    let translator = SimDmlTranslator::new(seed);
+    let translator = SimDmlTranslator { base_seed: seed, session: session.clone() };
     eval::evaluate_dml(&translator, &bench, jobs, session)
 }

@@ -147,6 +147,17 @@ fn dml_eval_is_identical_across_jobs_and_caches() {
 }
 
 #[test]
+fn dml_eval_votes_and_scores_through_the_run_session() {
+    // Each example parses its three vote candidates and its scored
+    // prediction through the run's session: a vote on a session of its own
+    // would leave only the scoring parse.
+    let session = engine::ExecSession::shared();
+    let report = exp::dml_eval(Scale::Tiny, 11, 1, &session);
+    let parse = session.stats().parse;
+    assert_eq!(parse.hits + parse.misses, 4 * report.overall.n as u64, "{parse:?}");
+}
+
+#[test]
 fn dml_split_covers_every_statement_kind() {
     let bench = exp::dml_bench(Scale::Tiny, 11);
     for kind in spidergen::StatementKind::ALL {

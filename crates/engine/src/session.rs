@@ -4,14 +4,18 @@
 //! PURPLE's hottest loop is redundant execution: the consistency vote executes
 //! up to 30 samples per example (many byte-identical), then EX/TS scoring
 //! re-parses and re-executes predictions and golds across every test-suite
-//! database. An [`ExecSession`] sits in front of the engine and memoizes the
-//! three expensive stages independently:
+//! database. An [`ExecSession`] sits in front of the engine and memoizes each
+//! expensive step under one key, in one LRU:
 //!
-//! * **parse** — SQL text → AST, keyed by the raw string (db-independent);
-//! * **plan** — `(db fingerprint, canonical SQL)` → prepared [`Plan`];
+//! * **parse** — SQL text → [`Statement`] (read or write), keyed by the raw
+//!   string (db-independent);
 //! * **result** — `(db fingerprint, canonical SQL)` → executed [`ResultSet`];
+//!   a miss prepares and runs the query afresh;
 //! * **columns** — `(db fingerprint, table index)` → columnar [`ColumnTable`]
-//!   read by the vectorized pipeline (see [`crate::batch`]).
+//!   read by the vectorized pipeline (see [`crate::batch`]);
+//! * **write plan** — `(pre-write fingerprint, canonical SQL)` → compiled
+//!   [`WritePlan`], shared by identical write samples applied to copies of
+//!   one state.
 //!
 //! Every session runs plans on that one pipeline and applies writes through
 //! [`exec::apply_write`]; a disabled session differs only in caching nothing.
@@ -56,7 +60,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Bound of each LRU: parse, plan, result and column caches alike.
+    /// Bound of each LRU: parse, result, column and write-plan caches alike.
     pub capacity: usize,
 }
 
@@ -85,14 +89,15 @@ type DbKey = (u128, String);
 /// like `MetricsRegistry`: construct with [`ExecSession::shared`], hand clones
 /// of the `Arc` to every worker, and read [`ExecSession::stats`] at the end.
 pub struct ExecSession {
-    cfg: SessionConfig,
-    parse: Mutex<Lru<String, Option<Arc<Query>>>>,
-    plans: Mutex<Lru<DbKey, Result<Arc<Plan>, ExecError>>>,
+    /// Bound of each LRU; 0 caches nothing.
+    capacity: usize,
+    /// Statement parses (reads *and* writes), keyed by the raw SQL text.
+    stmts: Mutex<Lru<String, Option<Arc<Statement>>>>,
+    /// Read results; a miss prepares and runs the query without caching the
+    /// plan, which has the same key and would hit only after its result was
+    /// evicted.
     results: Mutex<Lru<DbKey, Result<Arc<ResultSet>, ExecError>>>,
     columns: Mutex<Lru<(u128, usize), Arc<ColumnTable>>>,
-    /// Statement-level parse cache (reads *and* writes), keyed by raw SQL.
-    /// Its traffic reports under the parse counters.
-    stmts: Mutex<Lru<String, Option<Arc<Statement>>>>,
     /// Write plans keyed by the *pre-write* fingerprint: applying the plan
     /// changes the fingerprint, so stale write plans can never be replayed
     /// against the mutated state. Its traffic reports under the plan
@@ -115,7 +120,7 @@ pub enum StatementOutcome {
 impl std::fmt::Debug for ExecSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecSession")
-            .field("config", &self.cfg)
+            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
@@ -126,20 +131,12 @@ impl ExecSession {
     /// caching entirely (every call computes directly, no cache stats
     /// recorded).
     pub fn new(capacity: usize) -> Self {
-        Self::with_config(SessionConfig { capacity })
-    }
-
-    /// A session whose every LRU is bounded by `cfg.capacity`.
-    pub fn with_config(cfg: SessionConfig) -> Self {
-        let cap = cfg.capacity;
         ExecSession {
-            cfg,
-            parse: Mutex::new(Lru::new(cap)),
-            plans: Mutex::new(Lru::new(cap)),
-            results: Mutex::new(Lru::new(cap)),
-            columns: Mutex::new(Lru::new(cap)),
-            stmts: Mutex::new(Lru::new(cap)),
-            wplans: Mutex::new(Lru::new(cap)),
+            capacity,
+            stmts: Mutex::new(Lru::new(capacity)),
+            results: Mutex::new(Lru::new(capacity)),
+            columns: Mutex::new(Lru::new(capacity)),
+            wplans: Mutex::new(Lru::new(capacity)),
             counters: CacheCounters::default(),
             ops: ExecOpCounters::default(),
         }
@@ -148,13 +145,13 @@ impl ExecSession {
     /// The standard enabled session ([`SessionConfig::default`]), ready to
     /// share.
     pub fn shared() -> Arc<Self> {
-        Arc::new(Self::with_config(SessionConfig::default()))
+        Self::shared_with(SessionConfig::default())
     }
 
     /// A shared session with an explicit [`SessionConfig`] (e.g.
     /// [`SessionConfig::for_workers`] for a translation server).
     pub fn shared_with(cfg: SessionConfig) -> Arc<Self> {
-        Arc::new(Self::with_config(cfg))
+        Arc::new(Self::new(cfg.capacity))
     }
 
     /// A pass-through session: identical API and engine, capacity 0, so
@@ -166,19 +163,14 @@ impl ExecSession {
 
     /// Whether this session caches at all.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.capacity > 0
-    }
-
-    /// The sizing configuration of this session.
-    pub fn config(&self) -> SessionConfig {
-        self.cfg
+        self.capacity > 0
     }
 
     /// Point-in-time snapshot of hit/miss/eviction counts and entry gauges.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            parse: self.counters.parse.snapshot(lock(&self.parse).len() as u64),
-            plan: self.counters.plan.snapshot(lock(&self.plans).len() as u64),
+            parse: self.counters.parse.snapshot(lock(&self.stmts).len() as u64),
+            plan: self.counters.plan.snapshot(lock(&self.wplans).len() as u64),
             result: self.counters.result.snapshot(lock(&self.results).len() as u64),
             columns: self.counters.columns.snapshot(lock(&self.columns).len() as u64),
         }
@@ -201,37 +193,18 @@ impl ExecSession {
         lookup(&self.columns, &self.counters.columns, (fp, ti), build)
     }
 
-    /// Parse SQL text, memoizing by the raw string. `None` means the text does
-    /// not parse (parse failures are memoized too — broken LLM samples repeat).
-    pub fn parse(&self, sql: &str) -> Option<Arc<Query>> {
-        if !self.is_enabled() {
-            return sqlkit::parse(sql).ok().map(Arc::new);
-        }
-        {
-            let mut cache = lock(&self.parse);
-            if let Some(hit) = cache.get_ref(sql) {
-                self.counters.parse.hit();
-                return hit.clone();
-            }
-        }
-        self.counters.parse.miss();
-        let parsed = sqlkit::parse(sql).ok().map(Arc::new);
-        if lock(&self.parse).insert(sql.to_string(), parsed.clone()) {
-            self.counters.parse.eviction();
-        }
-        parsed
-    }
-
     /// Parse SQL text as a [`Statement`] (read or write), memoizing by the raw
-    /// string. `None` means the text does not parse. Traffic counts under the
-    /// parse stage.
+    /// string. `None` means the text does not parse (failures are memoized
+    /// too — broken LLM samples repeat). A text parses as
+    /// [`Statement::Select`] exactly when [`sqlkit::parse`] accepts it, with
+    /// the same query, so readers match that arm.
     pub fn parse_statement(&self, sql: &str) -> Option<Arc<Statement>> {
         if !self.is_enabled() {
             return sqlkit::parse_statement(sql).ok().map(Arc::new);
         }
         {
             let mut cache = lock(&self.stmts);
-            if let Some(hit) = cache.get_ref(sql) {
+            if let Some(hit) = cache.get(sql) {
                 self.counters.parse.hit();
                 return hit.clone();
             }
@@ -250,9 +223,9 @@ impl ExecSession {
     /// [`WriteOutcome`].
     ///
     /// Mutation-aware by construction: a write changes
-    /// [`Database::fingerprint`], so every plan/result/column entry cached for
-    /// the old state simply stops matching — a read after a write can never
-    /// observe stale cached data.
+    /// [`Database::fingerprint`], so every result/column/write-plan entry
+    /// cached for the old state simply stops matching — a read after a write
+    /// can never observe stale cached data.
     pub fn apply(
         &self,
         db: &mut Database,
@@ -286,7 +259,7 @@ impl ExecSession {
     }
 
     /// Bind this session to a database, fixing the fingerprint half of the
-    /// cache key once. All plan/result traffic flows through the returned
+    /// cache key once. All read traffic flows through the returned
     /// [`SessionDb`].
     pub fn bind<'s, 'd>(&'s self, db: &'d Database) -> SessionDb<'s, 'd> {
         // A disabled session never consults keys, so skip the content hash.
@@ -334,9 +307,8 @@ impl<'s, 'd> SessionDb<'s, 'd> {
         self.session
     }
 
-    /// Execute a query, memoized by `(db fingerprint, canonical SQL)`. Misses
-    /// go through the plan cache, so re-executing a query against a mutated
-    /// database recompiles at most once.
+    /// Execute a query, memoized by `(db fingerprint, canonical SQL)`. A miss
+    /// prepares and runs the query, exactly as a disabled session does.
     ///
     /// When a tracer is attached ([`SessionDb::with_tracer`]) each call
     /// records one `exec` leaf span whose virtual work is the result row
@@ -352,25 +324,14 @@ impl<'s, 'd> SessionDb<'s, 'd> {
     }
 
     fn execute_inner(&self, q: &Query) -> Result<Arc<ResultSet>, ExecError> {
+        let compute = || exec::prepare(self.db, q).map(|plan| Arc::new(self.run_plan(&plan)));
         if !self.session.is_enabled() {
-            return exec::prepare(self.db, q).map(|plan| Arc::new(self.run_plan(&plan)));
+            return compute();
         }
+        // `lookup` computes outside any lock: plans can take milliseconds on
+        // join-heavy queries and must not serialize other workers.
         let key = (self.fp, q.to_string());
-        {
-            let mut cache = lock(&self.session.results);
-            if let Some(hit) = cache.get_ref(&key) {
-                self.session.counters.result.hit();
-                return hit.clone();
-            }
-        }
-        self.session.counters.result.miss();
-        // Compute outside any lock: plans can take milliseconds on join-heavy
-        // queries and must not serialize other workers.
-        let outcome = self.prepare_keyed(&key, q).map(|plan| Arc::new(self.run_plan(&plan)));
-        if lock(&self.session.results).insert(key, outcome.clone()) {
-            self.session.counters.result.eviction();
-        }
-        outcome
+        lookup(&self.session.results, &self.session.counters.result, key, compute)
     }
 
     /// Run a prepared plan on the vectorized pipeline over the session's
@@ -381,19 +342,14 @@ impl<'s, 'd> SessionDb<'s, 'd> {
         batch::run_plan_with(plan, &mut provider, Some(&session.ops))
     }
 
-    /// Parse and execute SQL text. `None` means the text does not parse;
-    /// `Some(Err(_))` carries the engine error for repair/attribution.
+    /// Parse and execute SQL text. `None` means the text is not a query: it
+    /// does not parse, or it parses as a write. `Some(Err(_))` carries the
+    /// engine error for repair/attribution.
     pub fn execute_sql(&self, sql: &str) -> Option<Result<Arc<ResultSet>, ExecError>> {
-        let q = self.session.parse(sql)?;
-        Some(self.execute(&q))
-    }
-
-    /// Plan-cache lookup reusing an already-built key (avoids re-serializing
-    /// the query on the execute miss path).
-    fn prepare_keyed(&self, key: &(u128, String), q: &Query) -> Result<Arc<Plan>, ExecError> {
-        lookup(&self.session.plans, &self.session.counters.plan, key.clone(), || {
-            exec::prepare(self.db, q).map(Arc::new)
-        })
+        match self.session.parse_statement(sql).as_deref() {
+            Some(Statement::Select(q)) => Some(self.execute(q)),
+            _ => None,
+        }
     }
 }
 
@@ -463,16 +419,9 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.map.len()
     }
 
-    /// Look up a key, refreshing its recency on hit.
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let ix = *self.map.get(key)?;
-        self.unlink(ix);
-        self.push_front(ix);
-        Some(&self.nodes[ix].val)
-    }
-
-    /// `get` for borrowed key forms (`&str` against `String` keys).
-    fn get_ref<Q>(&mut self, key: &Q) -> Option<&V>
+    /// Look up a key (or a borrowed form of it, e.g. `&str` against `String`
+    /// keys), refreshing its recency on hit.
+    fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: std::borrow::Borrow<Q>,
         Q: Eq + Hash + ?Sized,
@@ -617,7 +566,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.result.misses, 1);
         assert_eq!(stats.result.hits, 1);
-        assert_eq!(stats.plan.misses, 1);
+        assert_eq!(stats.plan.hits + stats.plan.misses, 0, "a read makes no plan lookup");
         assert_eq!(stats.result.entries, 1);
     }
 
@@ -663,8 +612,8 @@ mod tests {
     #[test]
     fn parse_cache_memoizes_failures() {
         let session = ExecSession::new(64);
-        assert!(session.parse("SELECT FROM WHERE").is_none());
-        assert!(session.parse("SELECT FROM WHERE").is_none());
+        assert!(session.parse_statement("SELECT FROM WHERE").is_none());
+        assert!(session.parse_statement("SELECT FROM WHERE").is_none());
         let stats = session.stats();
         assert_eq!(stats.parse.misses, 1);
         assert_eq!(stats.parse.hits, 1);
@@ -706,8 +655,8 @@ mod tests {
     #[test]
     fn write_through_session_never_serves_stale_reads() {
         // The invalidation contract: a write recomputes the fingerprint, so
-        // the plan/result/column entries cached for the old state stop
-        // matching. A read after a write must see the new rows.
+        // the result/column entries cached for the old state stop matching.
+        // A read after a write must see the new rows.
         let session = ExecSession::new(64);
         let mut d = db();
         let q = sqlkit::parse("SELECT COUNT(*) FROM t").unwrap();
@@ -720,8 +669,8 @@ mod tests {
         assert_eq!(w.fingerprint, d.fingerprint());
         let after = session.bind(&d).execute(&q).unwrap();
         assert_eq!(after.rows[0][0], Value::Int(6), "stale cached result served after write");
-        // Same story for the column cache (vectorized engine) and plan cache:
-        // both recomputed under the new fingerprint, old entries dormant.
+        // Same story for the column cache (vectorized engine): recomputed
+        // under the new fingerprint, old entries dormant.
         let stats = session.stats();
         assert_eq!(stats.result.misses, 2, "post-write read recomputed");
         assert_eq!(stats.columns.misses, 2, "post-write read re-transposed");
@@ -784,9 +733,16 @@ mod tests {
         let a = session.parse_statement("DELETE FROM t").unwrap();
         let b = session.parse_statement("DELETE FROM t").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        // A read executed from text and then parsed as a statement shares
+        // the one parse entry.
+        let d = db();
+        assert!(session.bind(&d).execute_sql("SELECT a FROM t").unwrap().is_ok());
+        let read = session.parse_statement("SELECT a FROM t").unwrap();
+        assert!(matches!(*read, Statement::Select(_)));
         let stats = session.stats();
-        assert_eq!(stats.parse.misses, 2);
-        assert_eq!(stats.parse.hits, 2);
+        assert_eq!(stats.parse.misses, 3);
+        assert_eq!(stats.parse.hits, 3);
+        assert_eq!(stats.parse.entries, 3);
     }
 
     #[test]

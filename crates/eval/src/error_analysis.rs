@@ -5,7 +5,7 @@
 
 use crate::metrics::{em_match, ex_match};
 use engine::SessionDb;
-use sqlkit::{exact_set_match, Query, Skeleton};
+use sqlkit::{exact_set_match, Query, Skeleton, Statement};
 use std::collections::BTreeMap;
 
 /// Why a single prediction failed (or that it didn't).
@@ -53,15 +53,16 @@ impl FailureMode {
 /// no extra engine runs; bind [`engine::ExecSession::disabled`] to run
 /// uncached, with the same verdict.
 pub fn classify(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> FailureMode {
-    let Some(pred) = sdb.session().parse(pred_sql) else {
+    let parsed = sdb.session().parse_statement(pred_sql);
+    let Some(Statement::Select(pred)) = parsed.as_deref() else {
         return FailureMode::ParseError;
     };
-    if sdb.execute(&pred).is_err() {
+    if sdb.execute(pred).is_err() {
         return FailureMode::ExecutionError;
     }
     let db = sdb.db();
-    let em = em_match(&pred, gold, &db.schema);
-    let ex = ex_match(sdb, &pred, gold);
+    let em = em_match(pred, gold, &db.schema);
+    let ex = ex_match(sdb, pred, gold);
     if em && ex {
         return FailureMode::Correct;
     }
@@ -69,7 +70,7 @@ pub fn classify(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> Failur
         return FailureMode::EquivalentForm;
     }
     // Execution differs; localize the cause.
-    let pred_skel = Skeleton::from_query(&pred);
+    let pred_skel = Skeleton::from_query(pred);
     let gold_skel = Skeleton::from_query(gold);
     if pred_skel != gold_skel {
         return FailureMode::WrongComposition;
@@ -80,7 +81,7 @@ pub fn classify(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> Failur
         return FailureMode::WrongValue;
     }
     // Same skeleton, EM broken: schema items differ.
-    debug_assert!(!exact_set_match(&pred, gold, &db.schema));
+    debug_assert!(!exact_set_match(pred, gold, &db.schema));
     FailureMode::WrongSchemaLinking
 }
 

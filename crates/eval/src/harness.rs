@@ -43,6 +43,7 @@ use engine::{Database, ExecSession};
 use llm::CostLedger;
 use obs::{Clock, EventSink, MetricsRegistry, Probe, StageMetrics};
 use spidergen::types::{Benchmark, Example};
+use sqlkit::Statement;
 use std::sync::Arc;
 
 /// One translation produced by a system, with its token cost.
@@ -144,7 +145,7 @@ impl<'a> Job<'a> {
 /// ([`Job::with_events`]) takes precedence when both are present.
 #[derive(Debug, Clone, Default)]
 pub struct RunEnv {
-    /// Shared execution session (parse/plan/result/column caches).
+    /// Shared execution session (parse, result, column and write-plan caches).
     pub session: Option<Arc<ExecSession>>,
     /// Shared API cost ledger for LLM calls.
     pub ledger: Option<Arc<CostLedger>>,
@@ -516,15 +517,15 @@ fn score_outcome(
     session: &ExecSession,
 ) -> ExampleScore {
     let t = &outcome.translation;
-    // One parse serves all three metrics; a prediction that does not parse
+    // One parse serves all three metrics; a prediction that is not a query
     // matches none of them.
-    let (em, ex_hit, ts) = match session.parse(&t.sql) {
-        Some(pred) => (
-            em_match(&pred, &ex.query, &db.schema),
-            ex_match(&session.bind(db), &pred, &ex.query),
-            suites.is_some_and(|s| ts_match(session, &pred, &ex.query, &s[ex.db_index])),
+    let (em, ex_hit, ts) = match session.parse_statement(&t.sql).as_deref() {
+        Some(Statement::Select(pred)) => (
+            em_match(pred, &ex.query, &db.schema),
+            ex_match(&session.bind(db), pred, &ex.query),
+            suites.is_some_and(|s| ts_match(session, pred, &ex.query, &s[ex.db_index])),
         ),
-        None => (false, false, false),
+        _ => (false, false, false),
     };
     ExampleScore {
         prompt_tokens: t.prompt_tokens,

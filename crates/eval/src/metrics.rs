@@ -1,14 +1,14 @@
 //! Exact-Set Match and Execution Match metrics (§V-A2).
 //!
-//! Execution goes through a bound [`SessionDb`]: plans and results are
-//! memoized per (database fingerprint, canonical SQL), so the gold query of an
-//! example costs one engine run no matter how many predictions it is scored
-//! against. Bind [`engine::ExecSession::disabled`] to run uncached; EX/TS
-//! verdicts are identical either way because a cache hit returns exactly the
-//! result set the engine would compute (DESIGN.md §10).
+//! Execution goes through a bound [`SessionDb`]: results are memoized per
+//! (database fingerprint, canonical SQL), so the gold query of an example
+//! costs one engine run no matter how many predictions it is scored against.
+//! Bind [`engine::ExecSession::disabled`] to run uncached; EX/TS verdicts are
+//! identical either way because a cache hit returns exactly the result set the
+//! engine would compute (DESIGN.md §10).
 
 use engine::{order_matters, SessionDb};
-use sqlkit::{exact_set_match, Query, Schema};
+use sqlkit::{exact_set_match, Query, Schema, Statement};
 
 /// Exact-Set Match: clause-level set comparison with values masked and aliases
 /// resolved (Spider's official EM).
@@ -30,11 +30,11 @@ pub fn ex_match(sdb: &SessionDb<'_, '_>, pred: &Query, gold: &Query) -> bool {
 }
 
 /// EX on a raw predicted string, parsed through the session: a prediction
-/// that does not parse never matches.
+/// that is not a query never matches.
 pub fn ex_match_str(sdb: &SessionDb<'_, '_>, pred_sql: &str, gold: &Query) -> bool {
-    match sdb.session().parse(pred_sql) {
-        Some(pred) => ex_match(sdb, &pred, gold),
-        None => false,
+    match sdb.session().parse_statement(pred_sql).as_deref() {
+        Some(Statement::Select(pred)) => ex_match(sdb, pred, gold),
+        _ => false,
     }
 }
 

@@ -6,7 +6,7 @@ use crate::testsuite::{build_suite, fuzz_instance, mutate, ts_match, SuiteConfig
 use engine::{Database, ExecSession, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqlkit::{parse, Column, ColumnType, Schema, Table};
+use sqlkit::{parse, Column, ColumnType, Schema, Statement, Table};
 
 fn db() -> Database {
     let mut s = Schema::new("d");
@@ -55,7 +55,10 @@ fn ts_rejects_garbage_and_accepts_gold() {
     let gold = parse("SELECT name FROM t WHERE id <= 2").unwrap();
     let suite = build_suite(&db, &[&gold], SuiteConfig::default(), 5);
     let session = ExecSession::disabled();
-    let ts = |sql: &str| session.parse(sql).is_some_and(|p| ts_match(&session, &p, &gold, &suite));
+    let ts = |sql: &str| match session.parse_statement(sql).as_deref() {
+        Some(Statement::Select(p)) => ts_match(&session, p, &gold, &suite),
+        _ => false,
+    };
     assert!(ts(&gold.to_string()));
     assert!(!ts("SELECT nope FROM"));
     assert!(!ts("SELECT missing FROM t"));

@@ -1,6 +1,6 @@
 //! Execution-cache observability: lock-free hit/miss/eviction counters for the
-//! three memoization stages of an execution session (parse, plan, result), with
-//! a point-in-time snapshot.
+//! four memoization stages of an execution session (statement parse, write
+//! plan, result, columns), with a point-in-time snapshot.
 //!
 //! These counters live deliberately *outside* [`StageMetrics`]: cache traffic
 //! depends on thread interleaving under parallel evaluation, so it must never
@@ -51,9 +51,10 @@ impl StageCacheCounters {
 /// Live counters for every stage of an execution session.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// SQL-text → AST memoization.
+    /// SQL-text → statement memoization (reads and writes).
     pub parse: StageCacheCounters,
-    /// (db, SQL) → compiled plan memoization.
+    /// (pre-write db, SQL) → compiled write-plan memoization. Reads cache
+    /// their results, not their plans, so a read makes no plan lookup.
     pub plan: StageCacheCounters,
     /// (db, SQL) → result-set memoization.
     pub result: StageCacheCounters,
@@ -92,7 +93,7 @@ impl StageCacheStats {
 pub struct CacheStats {
     /// Parse-stage stats.
     pub parse: StageCacheStats,
-    /// Plan-stage stats.
+    /// Write-plan stats (reads make no plan lookup).
     pub plan: StageCacheStats,
     /// Result-stage stats.
     pub result: StageCacheStats,
@@ -101,11 +102,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total lookups across all stages.
-    pub fn lookups(&self) -> u64 {
-        [self.parse, self.plan, self.result, self.columns].iter().map(|s| s.hits + s.misses).sum()
-    }
-
     /// Render an aligned stdout table (the `repro --metrics` cache section).
     pub fn render(&self) -> String {
         let mut out = String::from(
@@ -154,7 +150,6 @@ mod tests {
         assert_eq!(stats.result.evictions, 1);
         assert_eq!(stats.parse.entries, 1);
         assert!((stats.parse.hit_pct() - 200.0 / 3.0).abs() < 1e-9);
-        assert_eq!(stats.lookups(), 4);
         let rendered = stats.render();
         assert!(rendered.contains("parse"));
         assert!(rendered.contains("result"));

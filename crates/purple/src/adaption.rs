@@ -53,8 +53,9 @@ pub struct AdaptResult {
 /// up to five times").
 pub const MAX_ATTEMPTS: usize = 5;
 
-/// Adapt one SQL string to the bound database: every execution in the repair
-/// loop (and its final check) goes through the session's plan/result caches.
+/// Adapt one SQL string to the bound database: the parse goes through the
+/// session's parse cache, and every execution in the repair loop (and its
+/// final check) through its result cache.
 pub fn adapt_sql(sdb: &SessionDb<'_, '_>, sql: &str, rng: &mut StdRng) -> AdaptResult {
     adapt_inner(sdb, sql, rng).0
 }
@@ -63,10 +64,11 @@ pub fn adapt_sql(sdb: &SessionDb<'_, '_>, sql: &str, rng: &mut StdRng) -> AdaptR
 /// any randomness (only the Column-Ambiguity fixer draws): rng-free outcomes
 /// are safe to replay for duplicate samples without touching the rng stream.
 fn adapt_inner(sdb: &SessionDb<'_, '_>, sql: &str, rng: &mut StdRng) -> (AdaptResult, bool) {
-    let Some(parsed) = sdb.session().parse(sql) else {
+    let parsed = sdb.session().parse_statement(sql);
+    let Some(Statement::Select(q)) = parsed.as_deref() else {
         return (AdaptResult { sql: sql.to_string(), executable: false, fixes: vec![] }, false);
     };
-    let mut q = (*parsed).clone();
+    let mut q = q.clone();
     let mut fixes = Vec::new();
     let mut used_rng = false;
     for _ in 0..=MAX_ATTEMPTS {

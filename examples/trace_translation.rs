@@ -7,6 +7,7 @@
 //! ```
 
 use purple_repro::prelude::*;
+use purple_repro::sqlkit::Statement;
 
 fn main() {
     let suite = generate_suite(&GenConfig::tiny(2025));
@@ -58,8 +59,10 @@ fn main() {
     println!("\nfinal SQL: {}", trace.sql);
     let session = ExecSession::shared();
     let sdb = session.bind(db);
-    let pred = session.parse(&trace.sql);
-    let em = pred.is_some_and(|p| eval::em_match(&p, &ex.query, &db.schema));
+    let em = match session.parse_statement(&trace.sql).as_deref() {
+        Some(Statement::Select(p)) => eval::em_match(p, &ex.query, &db.schema),
+        _ => false,
+    };
     let exm = eval::ex_match_str(&sdb, &trace.sql, &ex.query);
     println!("exact-set match: {em}, execution match: {exm}");
 

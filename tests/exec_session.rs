@@ -88,11 +88,12 @@ fn lru_bound_respected_under_churn() {
     'outer: for ex in &split.examples {
         let db = split.db_of(ex);
         let sdb = session.bind(db);
-        // Vary the SQL text per example so every probe is a distinct key.
+        // Vary the SQL text per example so every probe is a distinct key,
+        // and run it from text so the parse cache churns too.
         for limit in 0..4u64 {
             let mut q = ex.query.clone();
             q.core.limit = Some(100 + limit);
-            let _ = sdb.execute(&q);
+            let _ = sdb.execute_sql(&q.to_string());
             issued += 1;
             if issued >= capacity * 8 {
                 break 'outer;
@@ -109,4 +110,5 @@ fn lru_bound_respected_under_churn() {
         );
     }
     assert!(stats.result.evictions > 0, "churn produced no result-cache evictions: {stats:?}");
+    assert!(stats.parse.evictions > 0, "churn produced no parse-cache evictions: {stats:?}");
 }
