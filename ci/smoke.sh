@@ -176,6 +176,19 @@ assert b['run_id'] == '$run1', b"
         | "$SERVE" --stdio --scale tiny --seed 42 --workers 2 > "$work/stdio.out"
     grep -q '"id":5' "$work/stdio.out"
     grep -q '"error":' "$work/stdio.out"
+
+    # 4. Hostile lines get one error each and the server keeps serving: a
+    #    line nested 200,000 deep, then a request whose `nl` holds the
+    #    escaped surrogate pair of an emoji (Python's default), then health.
+    {
+        python3 -c 'print("[" * 200000)'
+        printf '%s\n' \
+            '{"id":6,"idx":0,"db_index":0,"nl":"how many \ud83d\ude00","sql":"SELECT a FROM b","linking_noise":0.0,"trace":false,"seed":null}' \
+            '{"cmd":"health"}'
+    } | "$SERVE" --stdio --scale tiny --seed 42 --workers 2 > "$work/hostile.out"
+    test "$(grep -c '"error":' "$work/hostile.out")" -eq 1
+    grep -q '^{"id":6,"idx":0,"sql":' "$work/hostile.out"
+    grep -q '"health":' "$work/hostile.out"
     ;;
 trace)
     # 1. Export request span trees from a load-gen run and check the Chrome
@@ -259,12 +272,15 @@ soak)
     # 1. A short bounded soak (DESIGN.md §16): open-loop arrivals for 2s at
     #    30 req/s, one timeline row per 500ms tick, soak section in the
     #    schema-v4 bench summary.
+    #    The timeline's file name holds a quote and a backslash, which the
+    #    summary must escape.
+    tl4="$work/tl\"4\\.ldjson"
     "$SERVE" --soak 2 --rate 30 --tick-ms 500 --scale tiny --seed 42 --workers 4 \
-        --timeline "$work/tl4.ldjson" --bench-out "$work/S4.json" >/dev/null
-    python3 - "$work" <<'EOF'
+        --timeline "$tl4" --bench-out "$work/S4.json" >/dev/null
+    python3 - "$work" "$tl4" <<'EOF'
 import json, sys
-work = sys.argv[1]
-rows = [json.loads(line) for line in open(f"{work}/tl4.ldjson")]
+work, timeline = sys.argv[1:]
+rows = [json.loads(line) for line in open(timeline)]
 assert len(rows) == 4, f"2s at 500ms ticks must give 4 rows, got {len(rows)}"
 per_tick = rows[0]["id_hi"] - rows[0]["id_lo"]
 for k, r in enumerate(rows):
@@ -280,6 +296,7 @@ assert b["schema_version"] == 4 and b["run_id"].startswith("run-"), b
 s = b["soak"]
 assert s and s["ticks"] == 4 and s["offered"] == s["completed"] + s["shed"], s
 assert s["virt_work_offered"] == sum(r["virt_work"] for r in rows), s
+assert s["timeline"] == timeline, (s["timeline"], timeline)
 EOF
 
     # 2. The virt_* columns (everything before the first measured field) must
@@ -288,7 +305,7 @@ EOF
     "$SERVE" --soak 2 --rate 30 --tick-ms 500 --scale tiny --seed 42 --workers 1 \
         --arrival-seed 9 --timeline "$work/tl1.ldjson" \
         --bench-out "$work/S1.json" >/dev/null
-    sed 's/,"completed":.*//' "$work/tl4.ldjson" > "$work/virt4"
+    sed 's/,"completed":.*//' "$tl4" > "$work/virt4"
     sed 's/,"completed":.*//' "$work/tl1.ldjson" > "$work/virt1"
     cmp "$work/virt4" "$work/virt1"
 

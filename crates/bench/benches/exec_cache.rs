@@ -17,6 +17,7 @@
 //! iterations and exits — the `ci/smoke.sh exec-bench` fast path.
 
 use engine::{Database, ExecSession, Value};
+use obs::json::quote;
 use purple::consistency_vote;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -172,7 +173,7 @@ fn emit_json() {
     println!("{{");
     println!("  \"schema_version\": 3,");
     println!("  \"bench\": \"exec_cache\",");
-    println!("  \"description\": \"{DESCRIPTION}\",");
+    println!("  \"description\": {},", quote(DESCRIPTION));
     println!("  \"host_threads\": {threads},");
     println!("  \"samples_per_vote\": 30,");
     println!("  \"iterations\": {iters},");
@@ -180,8 +181,9 @@ fn emit_json() {
     let last = cells.len() - 1;
     for (i, (mix, cached, uncached)) in cells.iter().enumerate() {
         println!(
-            "    \"{mix}\": {{ \"cached_us\": {cached:.1}, \"uncached_us\": {uncached:.1}, \
+            "    {}: {{ \"cached_us\": {cached:.1}, \"uncached_us\": {uncached:.1}, \
              \"speedup\": {:.2} }}{}",
+            quote(mix),
             uncached / cached,
             if i == last { "" } else { "," }
         );
@@ -194,7 +196,7 @@ fn emit_json() {
         cold_ref / cold_vec
     );
     println!("  }},");
-    println!("  \"note\": \"{NOTE}\"");
+    println!("  \"note\": {}", quote(NOTE));
     println!("}}");
 }
 

@@ -45,6 +45,7 @@
 use bench_harness::{serve, soak, Scale};
 use engine::{ExecSession, SessionConfig};
 use eval::{RunEnv, SuiteConfig};
+use obs::json::quote;
 use obs::{Clock, MetricsRegistry};
 use purple::{Purple, PurpleConfig};
 use spidergen::generate_suite;
@@ -565,7 +566,7 @@ fn export_traces(drained: &obs::DrainedTraces, args: &Args) {
     );
 }
 
-/// Render `BENCH_serve.json` (same hand-rolled style as `BENCH_exec.json`).
+/// Render `BENCH_serve.json`, every string through [`obs::json::quote`].
 ///
 /// Schema v2 added the per-stage `"stages"` array (one row per span path
 /// with virtual-work and wall-microsecond p50/p95/p99, queue wait included).
@@ -589,10 +590,10 @@ fn bench_json(
         .iter()
         .map(|row| {
             format!(
-                "    {{\"path\": \"{}\", \"count\": {}, \"virt_p50\": {}, \"virt_p95\": {}, \
+                "    {{\"path\": {}, \"count\": {}, \"virt_p50\": {}, \"virt_p95\": {}, \
                  \"virt_p99\": {}, \"wall_us_p50\": {}, \"wall_us_p95\": {}, \"wall_us_p99\": \
                  {}}}",
-                row.path,
+                quote(&row.path),
                 row.count,
                 row.virt[0],
                 row.virt[1],
@@ -610,7 +611,7 @@ fn bench_json(
              \"ticks\": {},\n    \"offered\": {},\n    \"completed\": {},\n    \"shed\": {},\n    \
              \"sustained_rps\": {:.1},\n    \"virt_work_offered\": {},\n    \
              \"latency_p95_peak\": {},\n    \"latency_p99_peak\": {},\n    \
-             \"overload_episodes\": {},\n    \"verdict\": \"{}\",\n    \"timeline\": \"{}\"\n  }}",
+             \"overload_episodes\": {},\n    \"verdict\": {},\n    \"timeline\": {}\n  }}",
             args.soak_secs.unwrap_or(0.0),
             args.rate,
             args.tick_ms,
@@ -623,8 +624,8 @@ fn bench_json(
             s.peak_p95,
             s.peak_p99,
             s.episodes,
-            s.verdict.name(),
-            args.timeline
+            quote(s.verdict.name()),
+            quote(&args.timeline)
         ),
     };
     let soak_flags = match args.soak_secs {
@@ -638,12 +639,12 @@ fn bench_json(
          ExecSession). Latency is submit-to-completion wall time including admission wait. \
          Reproduce with: cargo run -p purple-bench --bin purple-serve -- --load-gen \
          {requests}{soak_flags} --scale {} --seed {} --workers {}\",\n  \
-         \"scale\": \"{}\",\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"workers\": {},\n  \
+         \"scale\": {},\n  \"seed\": {},\n  \"profile\": {},\n  \"workers\": {},\n  \
          \"queue_capacity\": {},\n  \
          \"requests\": {requests},\n  \"examples\": {examples},\n  \"arrival_seed\": {},\n  \
          \"wall_ms\": {:.3},\n  \"throughput_rps\": {:.1},\n  \"p50_ms\": {:.3},\n  \
          \"p95_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"em_pct\": {:.1},\n  \"ex_pct\": {:.1},\n  \
-         \"ts_pct\": {:.1},\n  \"run_id\": \"{}\",\n  \"stages\": [\n{}\n  ],\n  \
+         \"ts_pct\": {:.1},\n  \"run_id\": {},\n  \"stages\": [\n{}\n  ],\n  \
          \"soak\": {},\n  \
          \"note\": \"wall-clock timings (wall_ms, *_ms, wall_us_*, sustained_rps, soak latency \
          peaks) vary by machine; the EvalReport under run_id, the virt_* stage columns, the soak \
@@ -656,9 +657,9 @@ fn bench_json(
         args.scale.name(),
         args.seed,
         args.workers,
-        args.scale.name(),
+        quote(args.scale.name()),
         args.seed,
-        args.profile,
+        quote(args.profile),
         args.workers,
         args.queue_capacity,
         args.arrival_seed,
@@ -670,7 +671,7 @@ fn bench_json(
         report.overall.em_pct(),
         report.overall.ex_pct(),
         report.overall.ts_pct(),
-        run_id,
+        quote(run_id),
         stage_rows.join(",\n"),
         soak_section
     )

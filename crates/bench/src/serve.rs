@@ -38,10 +38,11 @@
 
 use engine::ExecSession;
 use eval::{
-    command_from_json, request_from_json, response_to_json, EvalReport, Request, Response,
-    ServeCommand, TestSuite,
+    line_from_json, response_to_json, EvalReport, Request, Response, ServeCommand, ServeLine,
+    TestSuite,
 };
-use obs::trace::{splitmix64, QUEUE_WAIT_SPAN};
+use obs::json::quote;
+use obs::trace::{percentile, splitmix64, QUEUE_WAIT_SPAN};
 use obs::{
     Counter, EventSink, Gauge, MetricsRegistry, SinkLoss, SlidingWindow, SloSpec, SloStatus,
     SloTracker, SloVerdict, SpanSink, SpanToken, TraceRecorder, TraceSampler, WindowStats,
@@ -481,7 +482,7 @@ impl SubmitHandle {
     /// [`SubmitHandle::health`] rendered as one JSON object — the
     /// `{"cmd":"health"}` wire verb's answer.
     pub fn health_json(&self) -> String {
-        health_to_json(&self.health())
+        self.health().to_json()
     }
 }
 
@@ -496,38 +497,40 @@ fn slo_status_json(s: &SloStatus) -> String {
     format!(
         "{{\"name\":{},\"target\":{},\"budget\":{:.4},\"observed\":{},\"violations\":{},\
          \"burn_rate\":{:.4},\"verdict\":{}}}",
-        json_escape(&s.name),
+        quote(&s.name),
         s.target,
         s.budget,
         s.observed,
         s.violations,
         s.burn_rate,
-        json_escape(s.verdict.name())
+        quote(s.verdict.name())
     )
 }
 
-/// Render a [`HealthSnapshot`] as the `health` verb's JSON body.
-fn health_to_json(h: &HealthSnapshot) -> String {
-    let slos: Vec<String> = h.slos.iter().map(slo_status_json).collect();
-    format!(
-        "{{\"now\":{},\"completed\":{},\"shed\":{},\
-         \"queue\":{{\"depth\":{},\"in_flight\":{},\"depth_hwm\":{},\"in_flight_hwm\":{},\
-         \"window_depth_hwm\":{},\"window_in_flight_hwm\":{}}},\
-         \"latency\":{},\"slos\":[{}],\"episodes\":{},\"verdict\":{}}}",
-        h.now,
-        h.completed,
-        h.shed,
-        h.queue_depth,
-        h.in_flight,
-        h.queue_depth_hwm,
-        h.in_flight_hwm,
-        h.queue_window.max,
-        h.in_flight_window.max,
-        window_stats_json(&h.latency),
-        slos.join(","),
-        h.episodes,
-        json_escape(h.verdict.name())
-    )
+impl HealthSnapshot {
+    /// The `health` verb's JSON body.
+    pub fn to_json(&self) -> String {
+        let slos: Vec<String> = self.slos.iter().map(slo_status_json).collect();
+        format!(
+            "{{\"now\":{},\"completed\":{},\"shed\":{},\
+             \"queue\":{{\"depth\":{},\"in_flight\":{},\"depth_hwm\":{},\"in_flight_hwm\":{},\
+             \"window_depth_hwm\":{},\"window_in_flight_hwm\":{}}},\
+             \"latency\":{},\"slos\":[{}],\"episodes\":{},\"verdict\":{}}}",
+            self.now,
+            self.completed,
+            self.shed,
+            self.queue_depth,
+            self.in_flight,
+            self.queue_depth_hwm,
+            self.in_flight_hwm,
+            self.queue_window.max,
+            self.in_flight_window.max,
+            window_stats_json(&self.latency),
+            slos.join(","),
+            self.episodes,
+            quote(self.verdict.name())
+        )
+    }
 }
 
 /// The running server: a bounded request queue drained by worker threads.
@@ -655,28 +658,6 @@ fn worker_loop(shared: &Shared, purple: &Purple, bench: &Benchmark) {
     }
 }
 
-/// Minimal JSON string escape for error lines (the full codec lives in
-/// [`eval::wire`](eval::request_to_json)).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Line counts for one served connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
@@ -690,11 +671,11 @@ pub struct ConnStats {
 /// (see [`eval::request_from_json`]), each output line a response — written
 /// as translations complete, so out of order; clients correlate by `id`.
 /// Malformed or refused lines get `{"error":...}` / `{"id":N,"error":...}`.
-/// Command lines (see [`eval::command_from_json`]) are answered inline —
-/// `{"cmd":"metrics"}` with `{"metrics":"<Prometheus text exposition>"}`,
-/// `{"cmd":"health"}` with `{"health":{...}}` — and count toward neither
-/// [`ConnStats`] field. Returns when the input reaches EOF and every admitted
-/// request has been answered.
+/// Command lines are answered inline — `{"cmd":"metrics"}` with
+/// `{"metrics":"<Prometheus text exposition>"}`, `{"cmd":"health"}` with
+/// `{"health":{...}}` — and count toward neither [`ConnStats`] field. Each
+/// line is parsed once, by [`eval::line_from_json`]. Returns when the input
+/// reaches EOF and every admitted request has been answered.
 pub fn serve_connection<R, W>(
     handle: &SubmitHandle,
     reader: R,
@@ -728,48 +709,33 @@ where
             if line.trim().is_empty() {
                 continue;
             }
-            match command_from_json(&line) {
-                Ok(Some(ServeCommand::Metrics)) => {
-                    let body = handle.metrics_exposition();
-                    let mut w = out.lock().expect("serve writer poisoned");
-                    writeln!(w, "{{\"metrics\":{}}}", json_escape(&body))?;
-                    w.flush()?;
-                    continue;
+            let reply = match line_from_json(&line) {
+                Ok(ServeLine::Command(ServeCommand::Metrics)) => {
+                    format!("{{\"metrics\":{}}}", quote(&handle.metrics_exposition()))
                 }
-                Ok(Some(ServeCommand::Health)) => {
-                    let body = handle.health_json();
-                    let mut w = out.lock().expect("serve writer poisoned");
-                    writeln!(w, "{{\"health\":{body}}}")?;
-                    w.flush()?;
-                    continue;
+                Ok(ServeLine::Command(ServeCommand::Health)) => {
+                    format!("{{\"health\":{}}}", handle.health_json())
                 }
-                Ok(None) => {}
-                Err(e) => {
-                    stats.rejected += 1;
-                    let mut w = out.lock().expect("serve writer poisoned");
-                    writeln!(w, "{{\"error\":{}}}", json_escape(&e))?;
-                    w.flush()?;
-                    continue;
-                }
-            }
-            let refusal = match request_from_json(&line) {
-                Ok(req) => {
+                Ok(ServeLine::Request(req)) => {
                     let id = req.id;
-                    match handle.submit(req, tx.clone()) {
+                    match handle.submit(*req, tx.clone()) {
                         Ok(()) => {
                             stats.accepted += 1;
                             continue;
                         }
                         Err(e) => {
-                            format!("{{\"id\":{id},\"error\":{}}}", json_escape(&e.to_string()))
+                            stats.rejected += 1;
+                            format!("{{\"id\":{id},\"error\":{}}}", quote(&e.to_string()))
                         }
                     }
                 }
-                Err(e) => format!("{{\"error\":{}}}", json_escape(&e)),
+                Err(e) => {
+                    stats.rejected += 1;
+                    format!("{{\"error\":{}}}", quote(&e))
+                }
             };
-            stats.rejected += 1;
             let mut w = out.lock().expect("serve writer poisoned");
-            writeln!(w, "{refusal}")?;
+            writeln!(w, "{reply}")?;
             w.flush()?;
         }
         // EOF: no more submissions from this connection. Once the workers
@@ -844,14 +810,6 @@ pub struct LoadStats {
     pub p95: Duration,
     /// 99th-percentile latency.
     pub p99: Duration,
-}
-
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let pos = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[pos.min(sorted.len() - 1)]
 }
 
 /// Drive a request set through a server, measuring per-request latency from

@@ -29,6 +29,7 @@
 //! columns without touching cohort membership.
 
 use crate::serve::{shuffle, Completion, HealthSnapshot, SubmitError, SubmitHandle};
+use obs::json::quote;
 use obs::{SlidingWindow, SloVerdict, WindowStats};
 use purple::Purple;
 use spidergen::Benchmark;
@@ -284,7 +285,7 @@ pub fn tick_to_json(t: &SoakTick) -> String {
     format!(
         "{{\"tick\":{},\"id_lo\":{},\"id_hi\":{},\"offered\":{},\"virt_p50\":{},\"virt_p95\":{},\
          \"virt_p99\":{},\"virt_work\":{},\"completed\":{},\"shed\":{},\"wall_ms\":{:.3},\
-         \"queue_depth_hwm\":{},\"in_flight_hwm\":{},\"verdict\":\"{}\"}}",
+         \"queue_depth_hwm\":{},\"in_flight_hwm\":{},\"verdict\":{}}}",
         t.tick,
         t.id_lo,
         t.id_hi,
@@ -298,7 +299,7 @@ pub fn tick_to_json(t: &SoakTick) -> String {
         t.wall_ms,
         t.queue_depth_hwm,
         t.in_flight_hwm,
-        t.verdict.name()
+        quote(t.verdict.name())
     )
 }
 

@@ -14,7 +14,7 @@
 
 use crate::attribution::Blame;
 use crate::harness::EvalReport;
-use crate::reportio::{escape, JsonValue, Parser};
+use obs::json::{self, join, quote, Value};
 use obs::{Stage, NUM_BUCKETS};
 use std::fmt::Write as _;
 
@@ -484,11 +484,11 @@ pub fn gate(diff: &ReportDiff, cfg: &GateConfig) -> GateOutcome {
 pub fn diff_to_json(d: &ReportDiff) -> String {
     let mut out = String::with_capacity(1024);
     out.push('{');
-    let _ = write!(out, "\"baseline\":{},", escape(&d.baseline));
-    let _ = write!(out, "\"candidate\":{},", escape(&d.candidate));
-    let _ = write!(out, "\"base_system\":{},", escape(&d.base_system));
-    let _ = write!(out, "\"cand_system\":{},", escape(&d.cand_system));
-    let _ = write!(out, "\"split\":{},", escape(&d.split));
+    let _ = write!(out, "\"baseline\":{},", quote(&d.baseline));
+    let _ = write!(out, "\"candidate\":{},", quote(&d.candidate));
+    let _ = write!(out, "\"base_system\":{},", quote(&d.base_system));
+    let _ = write!(out, "\"cand_system\":{},", quote(&d.cand_system));
+    let _ = write!(out, "\"split\":{},", quote(&d.split));
     let _ = write!(out, "\"n\":{},", d.n);
     let _ = write!(out, "\"has_ts\":{},", d.has_ts);
     for (name, m) in [("em", &d.em), ("ex", &d.ex), ("ts", &d.ts)] {
@@ -497,42 +497,31 @@ pub fn diff_to_json(d: &ReportDiff) -> String {
     let _ = write!(out, "\"avg_prompt_tokens_delta\":{:?},", d.avg_prompt_tokens_delta);
     let _ = write!(out, "\"avg_output_tokens_delta\":{:?},", d.avg_output_tokens_delta);
     out.push_str("\"blame\":[");
-    for (i, b) in d.blame.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
+    join(&mut out, &d.blame, |out, b| {
+        write!(
             out,
             "{{\"class\":{},\"base_count\":{},\"cand_count\":{},\"base_share\":{:?},\"cand_share\":{:?}}}",
-            escape(&b.class),
+            quote(&b.class),
             b.base_count,
             b.cand_count,
             b.base_share,
             b.cand_share
-        );
-    }
+        )
+    });
     out.push_str("],\"latency\":[");
-    for (i, l) in d.latency.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
+    join(&mut out, &d.latency, |out, l| {
+        write!(
             out,
             "{{\"stage\":{},\"count_delta\":{},\"sum_delta\":{},\"max_delta\":{},\"mean_delta\":{:?},\"buckets\":[",
-            escape(&l.stage),
+            quote(&l.stage),
             l.count_delta,
             l.sum_delta,
             l.max_delta,
             l.mean_delta
-        );
-        for (j, b) in l.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
-    }
+        )?;
+        join(out, &l.buckets, |out, b| write!(out, "{b}"));
+        out.write_str("]}")
+    });
     out.push_str("]}");
     out
 }
@@ -542,12 +531,7 @@ fn metric_to_json(m: &MetricDiff) -> String {
     let _ = write!(out, "{{\"base_hits\":{},\"cand_hits\":{},", m.base_hits, m.cand_hits);
     for (name, set) in [("regressed", &m.regressed), ("fixed", &m.fixed)] {
         let _ = write!(out, "\"{name}\":[");
-        for (i, idx) in set.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{idx}");
-        }
+        join(&mut out, set, |out, idx| write!(out, "{idx}"));
         out.push_str("],");
     }
     let _ = write!(
@@ -560,7 +544,7 @@ fn metric_to_json(m: &MetricDiff) -> String {
 
 /// Parse a diff written by [`diff_to_json`].
 pub fn diff_from_json(text: &str) -> Result<ReportDiff, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
+    let value = json::parse(text)?;
     let obj = value.as_object("diff")?;
     let mut d = ReportDiff {
         baseline: String::new(),
@@ -585,13 +569,13 @@ pub fn diff_from_json(text: &str) -> Result<ReportDiff, String> {
             "base_system" => d.base_system = val.as_string(key)?,
             "cand_system" => d.cand_system = val.as_string(key)?,
             "split" => d.split = val.as_string(key)?,
-            "n" => d.n = val.as_usize(key)?,
+            "n" => d.n = val.as_num(key)?,
             "has_ts" => d.has_ts = val.as_bool(key)?,
             "em" => d.em = metric_from_value(val)?,
             "ex" => d.ex = metric_from_value(val)?,
             "ts" => d.ts = metric_from_value(val)?,
-            "avg_prompt_tokens_delta" => d.avg_prompt_tokens_delta = val.as_f64(key)?,
-            "avg_output_tokens_delta" => d.avg_output_tokens_delta = val.as_f64(key)?,
+            "avg_prompt_tokens_delta" => d.avg_prompt_tokens_delta = val.as_num(key)?,
+            "avg_output_tokens_delta" => d.avg_output_tokens_delta = val.as_num(key)?,
             "blame" => {
                 for item in val.as_array("blame")? {
                     let obj = item.as_object("blame[i]")?;
@@ -605,10 +589,10 @@ pub fn diff_from_json(text: &str) -> Result<ReportDiff, String> {
                     for (k, v) in obj {
                         match k.as_str() {
                             "class" => b.class = v.as_string(k)?,
-                            "base_count" => b.base_count = v.as_usize(k)?,
-                            "cand_count" => b.cand_count = v.as_usize(k)?,
-                            "base_share" => b.base_share = v.as_f64(k)?,
-                            "cand_share" => b.cand_share = v.as_f64(k)?,
+                            "base_count" => b.base_count = v.as_num(k)?,
+                            "cand_count" => b.cand_count = v.as_num(k)?,
+                            "base_share" => b.base_share = v.as_num(k)?,
+                            "cand_share" => b.cand_share = v.as_num(k)?,
                             other => return Err(format!("unknown blame field `{other}`")),
                         }
                     }
@@ -629,15 +613,15 @@ pub fn diff_from_json(text: &str) -> Result<ReportDiff, String> {
                     for (k, v) in obj {
                         match k.as_str() {
                             "stage" => l.stage = v.as_string(k)?,
-                            "count_delta" => l.count_delta = as_i64(v, k)?,
-                            "sum_delta" => l.sum_delta = as_i64(v, k)?,
-                            "max_delta" => l.max_delta = as_i64(v, k)?,
-                            "mean_delta" => l.mean_delta = v.as_f64(k)?,
+                            "count_delta" => l.count_delta = v.as_num(k)?,
+                            "sum_delta" => l.sum_delta = v.as_num(k)?,
+                            "max_delta" => l.max_delta = v.as_num(k)?,
+                            "mean_delta" => l.mean_delta = v.as_num(k)?,
                             "buckets" => {
                                 l.buckets = v
                                     .as_array("buckets")?
                                     .iter()
-                                    .map(|b| as_i64(b, "buckets[i]"))
+                                    .map(|b| b.as_num("buckets[i]"))
                                     .collect::<Result<_, _>>()?;
                             }
                             other => return Err(format!("unknown latency field `{other}`")),
@@ -652,34 +636,27 @@ pub fn diff_from_json(text: &str) -> Result<ReportDiff, String> {
     Ok(d)
 }
 
-fn metric_from_value(value: &JsonValue) -> Result<MetricDiff, String> {
+fn metric_from_value(value: &Value) -> Result<MetricDiff, String> {
     let obj = value.as_object("metric diff")?;
     let mut m = MetricDiff::default();
     for (key, val) in obj {
         match key.as_str() {
-            "base_hits" => m.base_hits = val.as_usize(key)?,
-            "cand_hits" => m.cand_hits = val.as_usize(key)?,
+            "base_hits" => m.base_hits = val.as_num(key)?,
+            "cand_hits" => m.cand_hits = val.as_num(key)?,
             "regressed" => m.regressed = idx_vec(val)?,
             "fixed" => m.fixed = idx_vec(val)?,
-            "unchanged_hit" => m.unchanged_hit = val.as_usize(key)?,
-            "unchanged_miss" => m.unchanged_miss = val.as_usize(key)?,
-            "mcnemar_chi2" => m.mcnemar_chi2 = val.as_f64(key)?,
-            "mcnemar_p" => m.mcnemar_p = val.as_f64(key)?,
+            "unchanged_hit" => m.unchanged_hit = val.as_num(key)?,
+            "unchanged_miss" => m.unchanged_miss = val.as_num(key)?,
+            "mcnemar_chi2" => m.mcnemar_chi2 = val.as_num(key)?,
+            "mcnemar_p" => m.mcnemar_p = val.as_num(key)?,
             other => return Err(format!("unknown metric-diff field `{other}`")),
         }
     }
     Ok(m)
 }
 
-fn idx_vec(value: &JsonValue) -> Result<Vec<usize>, String> {
-    value.as_array("flip set")?.iter().map(|v| v.as_usize("flip index")).collect()
-}
-
-fn as_i64(value: &JsonValue, what: &str) -> Result<i64, String> {
-    match value {
-        JsonValue::Num(s) => s.parse().map_err(|e| format!("{what}: {e}")),
-        _ => Err(format!("{what}: expected integer")),
-    }
+fn idx_vec(value: &Value) -> Result<Vec<usize>, String> {
+    value.as_array("flip set")?.iter().map(|v| v.as_num("flip index")).collect()
 }
 
 #[cfg(test)]

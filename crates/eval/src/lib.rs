@@ -41,8 +41,8 @@ pub use reportio::{
 };
 pub use testsuite::{build_suite, fuzz_instance, mutate, ts_match, SuiteConfig, TestSuite};
 pub use wire::{
-    command_from_json, request_from_json, request_to_json, response_from_json, response_to_json,
-    ServeCommand,
+    line_from_json, request_from_json, request_to_json, response_from_json, response_to_json,
+    ServeCommand, ServeLine,
 };
 
 // Former names kept while perfbench calls them; ROADMAP item 5 moves perfbench

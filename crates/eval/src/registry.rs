@@ -19,7 +19,8 @@
 //! with *different* content is an error (the archive is append-only).
 
 use crate::harness::EvalReport;
-use crate::reportio::{self, escape, Parser};
+use crate::reportio;
+use obs::json::{self, quote};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -69,19 +70,19 @@ impl RunManifest {
         format!("run-{:016x}", h.finish())
     }
 
-    /// Serialize to JSON (hand-rolled, like every report artifact).
+    /// Serialize to JSON through [`obs::json`], like every report artifact.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push('{');
-        let _ = write!(out, "\"run_id\":{},", escape(&self.run_id()));
-        let _ = write!(out, "\"system\":{},", escape(&self.system));
-        let _ = write!(out, "\"split\":{},", escape(&self.split));
-        let _ = write!(out, "\"scale\":{},", escape(&self.scale));
+        let _ = write!(out, "\"run_id\":{},", quote(&self.run_id()));
+        let _ = write!(out, "\"system\":{},", quote(&self.system));
+        let _ = write!(out, "\"split\":{},", quote(&self.split));
+        let _ = write!(out, "\"scale\":{},", quote(&self.scale));
         let _ = write!(out, "\"seed\":{},", self.seed);
         let _ = write!(out, "\"jobs\":{},", self.jobs);
-        let _ = write!(out, "\"profile\":{},", escape(&self.profile));
-        let _ = write!(out, "\"config_fingerprint\":{},", escape(&self.config_fingerprint));
-        let _ = write!(out, "\"git_rev\":{},", escape(&self.git_rev));
+        let _ = write!(out, "\"profile\":{},", quote(&self.profile));
+        let _ = write!(out, "\"config_fingerprint\":{},", quote(&self.config_fingerprint));
+        let _ = write!(out, "\"git_rev\":{},", quote(&self.git_rev));
         let _ = write!(out, "\"schema_version\":{},", self.schema_version);
         let _ = write!(out, "\"examples\":{}", self.examples);
         out.push('}');
@@ -92,7 +93,7 @@ impl RunManifest {
     /// `run_id` is checked against the recomputed one so a hand-edited archive
     /// fails loudly.
     pub fn from_json(text: &str) -> Result<RunManifest, String> {
-        let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
+        let value = json::parse(text)?;
         let obj = value.as_object("manifest")?;
         let mut m = RunManifest {
             system: String::new(),
@@ -115,13 +116,13 @@ impl RunManifest {
                 "system" => m.system = val.as_string(key)?,
                 "split" => m.split = val.as_string(key)?,
                 "scale" => m.scale = val.as_string(key)?,
-                "seed" => m.seed = val.as_u64(key)?,
-                "jobs" => m.jobs = val.as_usize(key)?,
+                "seed" => m.seed = val.as_num(key)?,
+                "jobs" => m.jobs = val.as_num(key)?,
                 "profile" => m.profile = val.as_string(key)?,
                 "config_fingerprint" => m.config_fingerprint = val.as_string(key)?,
                 "git_rev" => m.git_rev = val.as_string(key)?,
-                "schema_version" => m.schema_version = val.as_u64(key)?,
-                "examples" => m.examples = val.as_usize(key)?,
+                "schema_version" => m.schema_version = val.as_num(key)?,
+                "examples" => m.examples = val.as_num(key)?,
                 other => return Err(format!("unknown manifest field `{other}`")),
             }
         }

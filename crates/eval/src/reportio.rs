@@ -1,10 +1,11 @@
-//! JSON persistence for [`EvalReport`]: a dependency-free writer/parser pair so
-//! reports survive a round trip through disk or pipes.
+//! JSON persistence for [`EvalReport`], its metrics and its attribution,
+//! written and read through [`obs::json`], so reports survive a round trip
+//! through disk or pipes.
 
 use crate::attribution::{AttributionReport, Blame};
 use crate::harness::{Bucket, EvalReport, ExampleOutcome};
+use obs::json::{self, join, quote, Value};
 use obs::{Clock, Counter, Fixer, Gauge, GaugeSlot, Histogram, Stage, StageMetrics, NUM_BUCKETS};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The report schema version this codec writes. v1 predates `schema_version`
@@ -22,16 +23,11 @@ pub fn report_to_json(report: &EvalReport) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
     write!(out, "\"schema_version\":{REPORT_SCHEMA_VERSION},").unwrap();
-    write!(out, "\"system\":{},", escape(&report.system)).unwrap();
-    write!(out, "\"split\":{},", escape(&report.split)).unwrap();
+    write!(out, "\"system\":{},", quote(&report.system)).unwrap();
+    write!(out, "\"split\":{},", quote(&report.split)).unwrap();
     write!(out, "\"overall\":{},", bucket_to_json(&report.overall)).unwrap();
     out.push_str("\"by_hardness\":[");
-    for (i, b) in report.by_hardness.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&bucket_to_json(b));
-    }
+    join(&mut out, &report.by_hardness, |out, b| out.write_str(&bucket_to_json(b)));
     out.push_str("],");
     write!(out, "\"avg_prompt_tokens\":{:?},", report.avg_prompt_tokens).unwrap();
     write!(out, "\"avg_output_tokens\":{:?},", report.avg_output_tokens).unwrap();
@@ -43,12 +39,7 @@ pub fn report_to_json(report: &EvalReport) -> String {
     }
     // Per-example outcomes, packed (bit 0 EM, bit 1 EX, bit 2 TS, bits 3.. hardness).
     out.push_str("\"examples\":[");
-    for (i, e) in report.examples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{}", e.pack()).unwrap();
-    }
+    join(&mut out, &report.examples, |out, e| write!(out, "{}", e.pack()));
     out.push_str("]}");
     out
 }
@@ -59,51 +50,44 @@ pub fn attribution_to_json(a: &AttributionReport) -> String {
     let mut out = String::with_capacity(256);
     write!(out, "{{\"total\":{},\"ex_correct\":{},", a.total, a.ex_correct).unwrap();
     out.push_str("\"counts\":{");
-    for (i, blame) in Blame::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{}:{}", escape(blame.name()), a.count(blame)).unwrap();
-    }
+    join(&mut out, Blame::ALL, |out, blame| {
+        write!(out, "{}:{}", quote(blame.name()), a.count(blame))
+    });
     out.push_str("},\"llm_by_category\":{");
-    for (i, fixer) in Fixer::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{}:{}", escape(fixer.name()), a.llm_by_category[fixer.index()]).unwrap();
-    }
+    join(&mut out, Fixer::ALL, |out, fixer| {
+        write!(out, "{}:{}", quote(fixer.name()), a.llm_by_category[fixer.index()])
+    });
     write!(out, "}},\"llm_uncategorized\":{}}}", a.llm_uncategorized).unwrap();
     out
 }
 
 /// Parse a standalone attribution document written by [`attribution_to_json`].
 pub fn attribution_from_json(text: &str) -> Result<AttributionReport, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
-    attribution_from_value(&value)
+    attribution_from_value(&json::parse(text)?)
 }
 
-fn attribution_from_value(value: &JsonValue) -> Result<AttributionReport, String> {
+fn attribution_from_value(value: &Value) -> Result<AttributionReport, String> {
     let obj = value.as_object("attribution")?;
     let mut a = AttributionReport::default();
     for (key, val) in obj {
         match key.as_str() {
-            "total" => a.total = val.as_usize(key)?,
-            "ex_correct" => a.ex_correct = val.as_usize(key)?,
+            "total" => a.total = val.as_num(key)?,
+            "ex_correct" => a.ex_correct = val.as_num(key)?,
             "counts" => {
                 for (name, v) in val.as_object("counts")? {
                     let blame = Blame::from_name(name)
                         .ok_or_else(|| format!("unknown blame class `{name}`"))?;
-                    a.counts[blame.index()] = v.as_usize(name)?;
+                    a.counts[blame.index()] = v.as_num(name)?;
                 }
             }
             "llm_by_category" => {
                 for (name, v) in val.as_object("llm_by_category")? {
                     let fixer = Fixer::from_name(name)
                         .ok_or_else(|| format!("unknown category `{name}`"))?;
-                    a.llm_by_category[fixer.index()] = v.as_usize(name)?;
+                    a.llm_by_category[fixer.index()] = v.as_num(name)?;
                 }
             }
-            "llm_uncategorized" => a.llm_uncategorized = val.as_usize(key)?,
+            "llm_uncategorized" => a.llm_uncategorized = val.as_num(key)?,
             other => return Err(format!("unknown attribution field `{other}`")),
         }
     }
@@ -118,54 +102,28 @@ fn attribution_from_value(value: &JsonValue) -> Result<AttributionReport, String
 pub fn metrics_to_json(m: &StageMetrics) -> String {
     let mut out = String::with_capacity(1024);
     out.push('{');
-    write!(out, "\"clock\":{},", escape(m.clock.name())).unwrap();
+    write!(out, "\"clock\":{},", quote(m.clock.name())).unwrap();
     out.push_str("\"stages\":{");
-    for (i, stage) in Stage::REPORT.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, Stage::REPORT, |out, stage| {
         let s = m.stage(stage);
-        write!(
-            out,
-            "{}:{{\"calls\":{},\"latency\":{}}}",
-            escape(stage.name()),
-            s.calls,
-            histogram_to_json(&s.latency)
-        )
-        .unwrap();
-    }
+        let latency = histogram_to_json(&s.latency);
+        write!(out, "{}:{{\"calls\":{},\"latency\":{latency}}}", quote(stage.name()), s.calls)
+    });
     out.push_str("},\"fixers\":{");
-    for (i, fixer) in Fixer::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    join(&mut out, Fixer::ALL, |out, fixer| {
         let f = m.fixer(fixer);
-        write!(
-            out,
-            "{}:{{\"hits\":{},\"successes\":{}}}",
-            escape(fixer.name()),
-            f.hits,
-            f.successes
-        )
-        .unwrap();
-    }
+        let name = quote(fixer.name());
+        write!(out, "{name}:{{\"hits\":{},\"successes\":{}}}", f.hits, f.successes)
+    });
     out.push_str("},\"counters\":{");
-    for (i, counter) in Counter::REPORT.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{}:{}", escape(counter.name()), m.counter(counter)).unwrap();
-    }
+    join(&mut out, Counter::REPORT, |out, counter| {
+        write!(out, "{}:{}", quote(counter.name()), m.counter(counter))
+    });
     out.push_str("},\"gauges\":{");
-    for (i, gauge) in Gauge::REPORT.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match m.gauge(gauge) {
-            Some(v) => write!(out, "{}:{}", escape(gauge.name()), v).unwrap(),
-            None => write!(out, "{}:null", escape(gauge.name())).unwrap(),
-        }
-    }
+    join(&mut out, Gauge::REPORT, |out, gauge| match m.gauge(gauge) {
+        Some(v) => write!(out, "{}:{v}", quote(gauge.name())),
+        None => write!(out, "{}:null", quote(gauge.name())),
+    });
     out.push_str("}}");
     out
 }
@@ -173,12 +131,7 @@ pub fn metrics_to_json(m: &StageMetrics) -> String {
 fn histogram_to_json(h: &Histogram) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"buckets\":[");
-    for (i, b) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{b}").unwrap();
-    }
+    join(&mut out, &h.buckets, |out, b| write!(out, "{b}"));
     write!(out, "],\"count\":{},\"sum\":{},\"max\":{}}}", h.count, h.sum, h.max).unwrap();
     out
 }
@@ -194,12 +147,12 @@ fn bucket_to_json(b: &Bucket) -> String {
 /// outcomes); a version newer than [`REPORT_SCHEMA_VERSION`] is rejected so
 /// archives written by a future binary fail loudly instead of decoding wrong.
 pub fn report_from_json(text: &str) -> Result<EvalReport, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
+    let value = json::parse(text)?;
     let obj = value.as_object("report")?;
     // Validate the version before anything else so a future archive produces
     // "unsupported schema_version", not "unknown field".
     if let Some(v) = obj.get("schema_version") {
-        let v = v.as_u64("schema_version")?;
+        let v: u64 = v.as_num("schema_version")?;
         if v == 0 || v > REPORT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported report schema_version {v}; this binary reads versions 1..={REPORT_SCHEMA_VERSION}"
@@ -233,8 +186,8 @@ pub fn report_from_json(text: &str) -> Result<EvalReport, String> {
                     report.by_hardness[i] = bucket_from_value(item, "by_hardness[i]")?;
                 }
             }
-            "avg_prompt_tokens" => report.avg_prompt_tokens = val.as_f64("avg_prompt_tokens")?,
-            "avg_output_tokens" => report.avg_output_tokens = val.as_f64("avg_output_tokens")?,
+            "avg_prompt_tokens" => report.avg_prompt_tokens = val.as_num("avg_prompt_tokens")?,
+            "avg_output_tokens" => report.avg_output_tokens = val.as_num("avg_output_tokens")?,
             "has_ts" => report.has_ts = val.as_bool("has_ts")?,
             "metrics" => report.metrics = metrics_from_value(val)?,
             "attribution" => {
@@ -245,7 +198,7 @@ pub fn report_from_json(text: &str) -> Result<EvalReport, String> {
                 let items = val.as_array("examples")?;
                 report.examples = items
                     .iter()
-                    .map(|item| ExampleOutcome::unpack(item.as_u64("examples[i]")?))
+                    .map(|item| ExampleOutcome::unpack(item.as_num("examples[i]")?))
                     .collect::<Result<Vec<_>, _>>()?;
             }
             other => return Err(format!("unknown report field `{other}`")),
@@ -256,11 +209,10 @@ pub fn report_from_json(text: &str) -> Result<EvalReport, String> {
 
 /// Parse a standalone metrics document written by [`metrics_to_json`].
 pub fn metrics_from_json(text: &str) -> Result<StageMetrics, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
-    metrics_from_value(&value)
+    metrics_from_value(&json::parse(text)?)
 }
 
-fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
+fn metrics_from_value(value: &Value) -> Result<StageMetrics, String> {
     let obj = value.as_object("metrics")?;
     let mut m = StageMetrics::default();
     for (key, val) in obj {
@@ -277,7 +229,7 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
                     let entry = &mut m.stages[stage.index()];
                     for (field, v) in stage_val.as_object(name)? {
                         match field.as_str() {
-                            "calls" => entry.calls = v.as_u64(field)?,
+                            "calls" => entry.calls = v.as_num(field)?,
                             "latency" => entry.latency = histogram_from_value(v, name)?,
                             other => return Err(format!("unknown stage field `{other}`")),
                         }
@@ -291,8 +243,8 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
                     let entry = &mut m.fixers[fixer.index()];
                     for (field, v) in fixer_val.as_object(name)? {
                         match field.as_str() {
-                            "hits" => entry.hits = v.as_u64(field)?,
-                            "successes" => entry.successes = v.as_u64(field)?,
+                            "hits" => entry.hits = v.as_num(field)?,
+                            "successes" => entry.successes = v.as_num(field)?,
                             other => return Err(format!("unknown fixer field `{other}`")),
                         }
                     }
@@ -302,7 +254,7 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
                 for (name, v) in val.as_object("counters")? {
                     let counter = Counter::from_name(name)
                         .ok_or_else(|| format!("unknown counter `{name}`"))?;
-                    m.counters.0[counter.index()] = v.as_u64(name)?;
+                    m.counters.0[counter.index()] = v.as_num(name)?;
                 }
             }
             "gauges" => {
@@ -312,7 +264,7 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
                     m.gauges[gauge.index()] = if v.is_null() {
                         GaugeSlot::default()
                     } else {
-                        GaugeSlot { set: true, value: v.as_u64(name)? }
+                        GaugeSlot { set: true, value: v.as_num(name)? }
                     };
                 }
             }
@@ -322,7 +274,7 @@ fn metrics_from_value(value: &JsonValue) -> Result<StageMetrics, String> {
     Ok(m)
 }
 
-fn histogram_from_value(value: &JsonValue, what: &str) -> Result<Histogram, String> {
+fn histogram_from_value(value: &Value, what: &str) -> Result<Histogram, String> {
     let obj = value.as_object(what)?;
     let mut h = Histogram::default();
     for (key, val) in obj {
@@ -336,23 +288,23 @@ fn histogram_from_value(value: &JsonValue, what: &str) -> Result<Histogram, Stri
                     ));
                 }
                 for (i, item) in items.iter().enumerate() {
-                    h.buckets[i] = item.as_u64("buckets[i]")?;
+                    h.buckets[i] = item.as_num("buckets[i]")?;
                 }
             }
-            "count" => h.count = val.as_u64(key)?,
-            "sum" => h.sum = val.as_u64(key)?,
-            "max" => h.max = val.as_u64(key)?,
+            "count" => h.count = val.as_num(key)?,
+            "sum" => h.sum = val.as_num(key)?,
+            "max" => h.max = val.as_num(key)?,
             other => return Err(format!("unknown histogram field `{other}`")),
         }
     }
     Ok(h)
 }
 
-fn bucket_from_value(value: &JsonValue, what: &str) -> Result<Bucket, String> {
+fn bucket_from_value(value: &Value, what: &str) -> Result<Bucket, String> {
     let obj = value.as_object(what)?;
     let mut b = Bucket::default();
     for (key, val) in obj {
-        let n = val.as_usize(key)?;
+        let n = val.as_num(key)?;
         match key.as_str() {
             "n" => b.n = n,
             "em" => b.em = n,
@@ -362,285 +314,6 @@ fn bucket_from_value(value: &JsonValue, what: &str) -> Result<Bucket, String> {
         }
     }
     Ok(b)
-}
-
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value tree. Numbers keep their source text so integer widths
-/// and float precision are decided by the caller, not the parser.
-pub(crate) enum JsonValue {
-    Null,
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Array(Vec<JsonValue>),
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    pub(crate) fn as_object(&self, what: &str) -> Result<&BTreeMap<String, JsonValue>, String> {
-        match self {
-            JsonValue::Object(m) => Ok(m),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-    pub(crate) fn as_array(&self, what: &str) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Array(v) => Ok(v),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-    pub(crate) fn as_string(&self, what: &str) -> Result<String, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s.clone()),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-    pub(crate) fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Err(format!("{what}: expected bool")),
-        }
-    }
-    pub(crate) fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            JsonValue::Num(s) => s.parse().map_err(|e| format!("{what}: {e}")),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-    pub(crate) fn as_usize(&self, what: &str) -> Result<usize, String> {
-        match self {
-            JsonValue::Num(s) => s.parse().map_err(|e| format!("{what}: {e}")),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
-    pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            JsonValue::Num(s) => s.parse().map_err(|e| format!("{what}: {e}")),
-            _ => Err(format!("{what}: expected integer")),
-        }
-    }
-    pub(crate) fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-}
-
-pub(crate) struct Parser<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl Parser<'_> {
-    pub(crate) fn parse_document(mut self) -> Result<JsonValue, String> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing input at byte {}", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != byte {
-            return Err(format!(
-                "expected `{}` at byte {}, got `{}`",
-                byte as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(JsonValue::Str(self.parse_string()?)),
-            b't' => self.parse_keyword("true", JsonValue::Bool(true)),
-            b'f' => self.parse_keyword("false", JsonValue::Bool(false)),
-            b'n' => self.parse_keyword("null", JsonValue::Null),
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected `{word}` at byte {}", self.pos))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            if map.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate key `{key}`"));
-            }
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                c => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, got `{}`",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                c => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, got `{}`",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u{code:04x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at b.
-                    let len = utf8_len(b)?;
-                    let start = self.pos - 1;
-                    let chunk =
-                        self.bytes.get(start..start + len).ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a value at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        // Validate it is a number now so type errors surface at parse time.
-        text.parse::<f64>().map_err(|e| format!("bad number `{text}`: {e}"))?;
-        Ok(JsonValue::Num(text.to_string()))
-    }
-}
-
-fn utf8_len(first: u8) -> Result<usize, String> {
-    match first {
-        0x00..=0x7f => Ok(1),
-        0xc0..=0xdf => Ok(2),
-        0xe0..=0xef => Ok(3),
-        0xf0..=0xf7 => Ok(4),
-        other => Err(format!("invalid UTF-8 lead byte {other:#x}")),
-    }
 }
 
 #[cfg(test)]

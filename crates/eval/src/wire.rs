@@ -1,6 +1,8 @@
 //! Line-delimited JSON codecs for the service boundary ([`Request`] /
-//! [`Response`]), hand-rolled like [`crate::reportio`] so the wire format has
-//! no external dependency and a stable, documented shape.
+//! [`Response`] and the [`ServeCommand`] verbs), written and read through
+//! [`obs::json`] like every report artifact, so the wire format has no
+//! external dependency and a stable, documented shape. A server decodes each
+//! line once, with [`line_from_json`].
 //!
 //! # Request line
 //!
@@ -26,7 +28,7 @@
 //! answer out of order.
 
 use crate::harness::{JobSpec, Request, Response};
-use crate::reportio::{escape, Parser};
+use obs::json::{self, quote, Value};
 use spidergen::types::{Example, Realization};
 use std::fmt::Write as _;
 
@@ -47,29 +49,33 @@ pub enum ServeCommand {
     Health,
 }
 
-/// Classify a protocol line as a command.
+/// One protocol line, decoded: a command verb or a translation request.
+#[derive(Debug, Clone)]
+pub enum ServeLine {
+    /// A `{"cmd":"<verb>"}` line.
+    Command(ServeCommand),
+    /// A request line.
+    Request(Box<Request>),
+}
+
+/// Decode one protocol line with a single parse.
 ///
-/// Returns `Ok(Some(_))` for a well-formed command, `Ok(None)` when the line
-/// is not a command at all (no `cmd` key, or not parseable JSON — the caller
-/// should then try [`request_from_json`], whose error reporting covers the
-/// malformed case), and `Err` for a line that *is* a command but is invalid
-/// (unknown verb or stray fields).
-pub fn command_from_json(text: &str) -> Result<Option<ServeCommand>, String> {
-    let Ok(value) = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document() else {
-        return Ok(None);
-    };
-    let Ok(obj) = value.as_object("command") else {
-        return Ok(None);
-    };
+/// An object with a `cmd` key is a command: it must carry that one field,
+/// naming a known verb. Any other line is decoded as a request, so the
+/// request decoder's errors also cover a line that is not JSON or not an
+/// object (see [`request_from_json`]).
+pub fn line_from_json(text: &str) -> Result<ServeLine, String> {
+    let value = json::parse(text)?;
+    let obj = value.as_object("request")?;
     let Some(verb) = obj.get("cmd") else {
-        return Ok(None);
+        return request_from_value(&value).map(|req| ServeLine::Request(Box::new(req)));
     };
     if obj.len() != 1 {
         return Err("command lines carry exactly one field, `cmd`".into());
     }
     match verb.as_string("cmd")?.as_str() {
-        "metrics" => Ok(Some(ServeCommand::Metrics)),
-        "health" => Ok(Some(ServeCommand::Health)),
+        "metrics" => Ok(ServeLine::Command(ServeCommand::Metrics)),
+        "health" => Ok(ServeLine::Command(ServeCommand::Health)),
         other => Err(format!("unknown command verb `{other}`")),
     }
 }
@@ -83,8 +89,8 @@ pub fn request_to_json(req: &Request) -> String {
     write!(out, "\"id\":{},", req.id).unwrap();
     write!(out, "\"idx\":{},", spec.idx).unwrap();
     write!(out, "\"db_index\":{},", ex.db_index).unwrap();
-    write!(out, "\"nl\":{},", escape(&ex.nl)).unwrap();
-    write!(out, "\"sql\":{},", escape(&ex.sql)).unwrap();
+    write!(out, "\"nl\":{},", quote(&ex.nl)).unwrap();
+    write!(out, "\"sql\":{},", quote(&ex.sql)).unwrap();
     write!(out, "\"linking_noise\":{:?},", ex.linking_noise).unwrap();
     write!(out, "\"trace\":{},", spec.trace).unwrap();
     match spec.seed {
@@ -99,7 +105,10 @@ pub fn request_to_json(req: &Request) -> String {
 /// query; a request whose SQL does not parse is rejected (the gold query is
 /// what EM/EX/TS scoring compares against, so it must be valid).
 pub fn request_from_json(text: &str) -> Result<Request, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
+    request_from_value(&json::parse(text)?)
+}
+
+fn request_from_value(value: &Value) -> Result<Request, String> {
     let obj = value.as_object("request")?;
     let mut id = None;
     let mut idx = None;
@@ -111,16 +120,16 @@ pub fn request_from_json(text: &str) -> Result<Request, String> {
     let mut seed = None;
     for (key, val) in obj {
         match key.as_str() {
-            "id" => id = Some(val.as_u64("id")?),
-            "idx" => idx = Some(val.as_usize("idx")?),
-            "db_index" => db_index = Some(val.as_usize("db_index")?),
+            "id" => id = Some(val.as_num("id")?),
+            "idx" => idx = Some(val.as_num("idx")?),
+            "db_index" => db_index = Some(val.as_num("db_index")?),
             "nl" => nl = Some(val.as_string("nl")?),
             "sql" => sql = Some(val.as_string("sql")?),
-            "linking_noise" => linking_noise = val.as_f64("linking_noise")?,
+            "linking_noise" => linking_noise = val.as_num("linking_noise")?,
             "trace" => trace = val.as_bool("trace")?,
             "seed" => {
                 if !val.is_null() {
-                    seed = Some(val.as_u64("seed")?);
+                    seed = Some(val.as_num("seed")?);
                 }
             }
             other => return Err(format!("unknown request field `{other}`")),
@@ -151,7 +160,7 @@ pub fn response_to_json(resp: &Response) -> String {
     out.push('{');
     write!(out, "\"id\":{},", resp.id).unwrap();
     write!(out, "\"idx\":{},", resp.idx).unwrap();
-    write!(out, "\"sql\":{},", escape(&resp.sql)).unwrap();
+    write!(out, "\"sql\":{},", quote(&resp.sql)).unwrap();
     write!(out, "\"prompt_tokens\":{},", resp.prompt_tokens).unwrap();
     write!(out, "\"output_tokens\":{}", resp.output_tokens).unwrap();
     out.push('}');
@@ -160,7 +169,7 @@ pub fn response_to_json(resp: &Response) -> String {
 
 /// Parse a response line.
 pub fn response_from_json(text: &str) -> Result<Response, String> {
-    let value = Parser { bytes: text.as_bytes(), pos: 0 }.parse_document()?;
+    let value = json::parse(text)?;
     let obj = value.as_object("response")?;
     let mut resp =
         Response { id: 0, idx: 0, sql: String::new(), prompt_tokens: 0, output_tokens: 0 };
@@ -169,16 +178,16 @@ pub fn response_from_json(text: &str) -> Result<Response, String> {
     for (key, val) in obj {
         match key.as_str() {
             "id" => {
-                resp.id = val.as_u64("id")?;
+                resp.id = val.as_num("id")?;
                 seen_id = true;
             }
-            "idx" => resp.idx = val.as_usize("idx")?,
+            "idx" => resp.idx = val.as_num("idx")?,
             "sql" => {
                 resp.sql = val.as_string("sql")?;
                 seen_sql = true;
             }
-            "prompt_tokens" => resp.prompt_tokens = val.as_u64("prompt_tokens")?,
-            "output_tokens" => resp.output_tokens = val.as_u64("output_tokens")?,
+            "prompt_tokens" => resp.prompt_tokens = val.as_num("prompt_tokens")?,
+            "output_tokens" => resp.output_tokens = val.as_num("output_tokens")?,
             other => return Err(format!("unknown response field `{other}`")),
         }
     }
@@ -248,18 +257,50 @@ mod tests {
     }
 
     #[test]
-    fn command_lines_are_classified() {
-        assert_eq!(command_from_json("{\"cmd\":\"metrics\"}"), Ok(Some(ServeCommand::Metrics)));
-        assert_eq!(command_from_json("{\"cmd\":\"health\"}"), Ok(Some(ServeCommand::Health)));
-        // Not commands: requests, non-objects, malformed JSON (the request
-        // parser owns their error reporting).
-        assert_eq!(command_from_json("{\"id\":1}"), Ok(None));
-        assert_eq!(command_from_json("[1,2]"), Ok(None));
-        assert_eq!(command_from_json("not json"), Ok(None));
+    fn request_with_an_escaped_surrogate_pair_round_trips() {
+        // Python's `json.dumps` writes every character outside the Basic
+        // Multilingual Plane as a UTF-16 surrogate pair.
+        let suite = generate_suite(&GenConfig::tiny(31));
+        let req = Request::new(3, JobSpec::of(0, &suite.dev.examples[0]));
+        let line = request_to_json(&req).replace(
+            &format!("\"nl\":{}", quote(&req.spec.example.nl)),
+            "\"nl\":\"how many \\ud83d\\ude00\"",
+        );
+        assert!(line.contains("\\ud83d\\ude00"), "{line}");
+        let back = request_from_json(&line).expect("the escaped pair decodes");
+        assert_eq!(back.spec.example.nl, "how many 😀");
+        let again = request_from_json(&request_to_json(&back)).expect("round trip");
+        assert_eq!(again.spec.example.nl, "how many 😀");
+        assert!(request_from_json(&line.replace("\\ude00", "")).is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn lines_decode_once_into_commands_or_requests() {
+        let command = |line: &str| match line_from_json(line) {
+            Ok(ServeLine::Command(verb)) => Ok(verb),
+            Ok(ServeLine::Request(req)) => panic!("{line} decoded as request {req:?}"),
+            Err(e) => Err(e),
+        };
+        assert_eq!(command("{\"cmd\":\"metrics\"}"), Ok(ServeCommand::Metrics));
+        assert_eq!(command("{\"cmd\":\"health\"}"), Ok(ServeCommand::Health));
+        // Not commands: requests, non-objects, malformed JSON. The request
+        // decoder owns their error reporting.
+        let suite = generate_suite(&GenConfig::tiny(31));
+        let req = Request::new(9, JobSpec::of(0, &suite.dev.examples[0]));
+        match line_from_json(&request_to_json(&req)) {
+            Ok(ServeLine::Request(back)) => assert_eq!(back.id, 9),
+            other => panic!("request line decoded as {other:?}"),
+        }
+        for line in ["{\"id\":1}", "[1,2]", "not json"] {
+            let err = command(line).expect_err("not a request either");
+            assert_eq!(Err(err), request_from_json(line).map(|_| ()), "{line}");
+        }
         // Commands with problems are errors, not fall-throughs.
-        assert!(command_from_json("{\"cmd\":\"reboot\"}").is_err(), "unknown verb");
-        assert!(command_from_json("{\"cmd\":\"metrics\",\"x\":1}").is_err(), "stray field");
-        assert!(command_from_json("{\"cmd\":7}").is_err(), "non-string verb");
+        let err = command("{\"cmd\":\"reboot\"}").unwrap_err();
+        assert!(err.contains("unknown command verb `reboot`"), "{err}");
+        let err = command("{\"cmd\":\"metrics\",\"x\":1}").unwrap_err();
+        assert!(err.contains("exactly one field"), "{err}");
+        assert_eq!(command("{\"cmd\":7}"), Err("cmd: expected string".into()));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! - [`EventSink::drain`] flattens batches in ascending example order.
 //!
 //! Events carry no timestamps (the pipeline runs on [`crate::Clock::Virtual`]
-//! work units), so the drained stream — and its [`to_jsonl`] rendering — is
-//! byte-identical for any worker count.
+//! work units), so the drained stream — and its [`to_jsonl`] rendering
+//! through [`crate::json`] — is byte-identical for any worker count.
 
+use crate::json::{join, quote};
 use crate::registry::lock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -52,12 +53,12 @@ pub enum EventValue {
 }
 
 impl EventValue {
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) -> std::fmt::Result {
         match self {
-            EventValue::U64(v) => write!(out, "{v}").unwrap(),
-            EventValue::F64(v) => write!(out, "{v:?}").unwrap(),
-            EventValue::Bool(v) => write!(out, "{v}").unwrap(),
-            EventValue::Str(v) => write_escaped(out, v),
+            EventValue::U64(v) => write!(out, "{v}"),
+            EventValue::F64(v) => write!(out, "{v:?}"),
+            EventValue::Bool(v) => write!(out, "{v}"),
+            EventValue::Str(v) => write!(out, "{}", quote(v)),
         }
     }
 }
@@ -84,19 +85,19 @@ impl Event {
     /// `fields` — so equal events always produce byte-identical text.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        write!(out, "{{\"example\":{},\"seq\":{},\"stage\":", self.example_idx, self.seq).unwrap();
-        write_escaped(&mut out, self.stage);
-        out.push_str(",\"kind\":");
-        write_escaped(&mut out, self.kind);
-        out.push_str(",\"fields\":{");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, key);
-            out.push(':');
-            value.write_json(&mut out);
-        }
+        write!(
+            out,
+            "{{\"example\":{},\"seq\":{},\"stage\":{},\"kind\":{},\"fields\":{{",
+            self.example_idx,
+            self.seq,
+            quote(self.stage),
+            quote(self.kind)
+        )
+        .unwrap();
+        join(&mut out, &self.fields, |out, (key, value)| {
+            write!(out, "{}:", quote(key))?;
+            value.write_json(out)
+        });
         out.push_str("}}");
         out
     }
@@ -111,22 +112,6 @@ pub fn to_jsonl(events: &[Event]) -> String {
         out.push('\n');
     }
     out
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[derive(Debug, Default)]

@@ -28,11 +28,15 @@
 //! high-watermarks, and p50/p95/p99, plus declarative latency/admission SLOs
 //! reduced to a Healthy/Degraded/Breached verdict. They power the serving
 //! layer's `{"cmd":"health"}` verb and the soak timeline.
+//!
+//! [`json`] is the workspace's one JSON codec: every artifact and wire line
+//! is escaped by [`json::quote`] and read back by [`json::parse`].
 
 #![warn(missing_docs)]
 
 mod cache;
 pub mod events;
+pub mod json;
 mod ops;
 mod probe;
 pub mod prom;

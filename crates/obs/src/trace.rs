@@ -28,6 +28,7 @@
 //!
 //! [`Clock::Virtual`]: crate::Clock::Virtual
 
+use crate::json::{join, quote};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -358,32 +359,25 @@ pub fn to_chrome_trace(drained: &DrainedTraces, wall: bool) -> String {
         drained.dropped_traces, drained.dropped_spans
     )
     .unwrap();
-    let mut first = true;
-    for trace in &drained.traces {
-        for span in &trace.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let (ts, dur) = if wall {
-                (span.wall_start_ns / 1_000, span.wall_ns() / 1_000)
-            } else {
-                (span.start, span.virt())
-            };
-            write!(
-                out,
-                "\n{{\"name\":\"{}\",\"cat\":\"purple\",\"ph\":\"X\",\"ts\":{ts},\
-                 \"dur\":{dur},\"pid\":0,\"tid\":{},\"args\":{{\"span\":{},\"parent\":",
-                span.name, trace.trace_id, span.id
-            )
-            .unwrap();
-            match span.parent {
-                Some(p) => write!(out, "{p}").unwrap(),
-                None => out.push_str("null"),
-            }
-            out.push_str("}}");
+    let spans = drained.traces.iter().flat_map(|t| t.spans.iter().map(|s| (t.trace_id, s)));
+    join(&mut out, spans, |out, (trace_id, span)| {
+        let (ts, dur) = if wall {
+            (span.wall_start_ns / 1_000, span.wall_ns() / 1_000)
+        } else {
+            (span.start, span.virt())
+        };
+        write!(
+            out,
+            "\n{{\"name\":{},\"cat\":\"purple\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+             \"pid\":0,\"tid\":{trace_id},\"args\":{{\"span\":{},\"parent\":",
+            quote(span.name),
+            span.id
+        )?;
+        match span.parent {
+            Some(p) => write!(out, "{p}}}}}"),
+            None => out.write_str("null}}"),
         }
-    }
+    });
     out.push_str("\n]}\n");
     out
 }
@@ -402,10 +396,11 @@ pub struct RollupRow {
     pub wall_us: [u64; 3],
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (0 when empty).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// The `q` quantile of an ascending-sorted slice by rounded linear index:
+/// the element at `round(q * (len - 1))`, or `T::default()` when empty.
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]

@@ -181,8 +181,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             c if c.is_alphabetic() || c == '_' => {
                 let mut j = i;
                 while j < bytes.len() {
+                    // ASCII only: a byte of a multi-byte character read as a
+                    // `char` may be alphanumeric, and the word would end
+                    // inside that character.
                     let cj = bytes[j] as char;
-                    if cj.is_alphanumeric() || cj == '_' {
+                    if cj.is_ascii_alphanumeric() || cj == '_' {
                         j += 1;
                     } else {
                         break;
@@ -300,6 +303,10 @@ mod tests {
         assert!(tokenize("SELECT `oops").is_err());
         assert!(tokenize("SELECT a ! b").is_err());
         assert!(tokenize("SELECT €").is_err());
+        // A non-ASCII character inside a word ends it and is an error.
+        for sql in ["SELECT naïve FROM t", "SELECT aé FROM t", "SELECT aµ FROM t"] {
+            assert!(tokenize(sql).is_err(), "{sql}");
+        }
     }
 
     #[test]
